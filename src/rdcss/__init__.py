@@ -5,159 +5,24 @@ experiments: finite-field and projective-geometry machinery, spread and
 partial-spread constructions, collineation search against experimenter
 requirements, closed-form existence results, the induced variance structure
 of effect estimators, and regular fractional factorials layered on top.
+
+The package re-exports the public names (each module's __all__) of every
+module except the low-level bitlin and the cli.
 """
 
-from .geometry import (
-    LETTERS,
-    Effect,
-    EffectSpace,
-    Subspace,
-    all_subspaces,
-    intersect,
-    parse_effect,
-    span,
-    subspace_from_points,
-)
-from .gf2 import FieldElement, FieldPoly, default_primitive, element_power, is_primitive
-from .spreads import (
-    Spread,
-    SpreadCheck,
-    cyclic_spread,
-    mixed_spread,
-    partial_spread,
-    sub_subspace,
-    verify_spread,
-)
-from .collineation import (
-    Collineation,
-    FeasibilityCount,
-    SearchResult,
-    StageRequirement,
-    apply,
-    apply_to_spread,
-    apply_to_subspace,
-    build_system,
-    collineation_from_solution,
-    count_feasible,
-    find_collineation,
-    is_invertible,
-    solve_gf2,
-)
-from .existence import (
-    ExistenceReport,
-    feasibility_report,
-    full_spread_count,
-    full_spread_exists,
-    mixed_existence,
-    overlap_witness,
-    pairwise_min_overlap,
-    partial_spread_guarantee,
-    partial_spread_upper_bound,
-    spread_report,
-)
-from .randomization import (
-    Design,
-    HalfNormalRow,
-    VarianceGroup,
-    VarianceReport,
-    VarianceSpec,
-    batch_indices,
-    check_gls_equals_ols,
-    check_lemma1,
-    effect_variance,
-    halfnormal_emit,
-    incidence_matrix,
-    simulate,
-    variance_groups,
-)
-from .fractional import (
-    ClearReport,
-    DefiningSubgroup,
-    FractionSpec,
-    FractionalDesign,
-    Generator,
-    RankedDesign,
-    build_fraction,
-    choose_generators,
-    clear_effects,
-    defining_subgroup,
-    parse_fraction_spec,
-    rank_designs,
-    stage_factor_sets,
-)
+from . import collineation, existence, fractional, geometry, gf2, randomization, spreads
+from .collineation import *  # noqa: F401,F403
+from .existence import *  # noqa: F401,F403
+from .fractional import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .gf2 import *  # noqa: F401,F403
+from .randomization import *  # noqa: F401,F403
+from .spreads import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LETTERS",
-    "Effect",
-    "EffectSpace",
-    "Subspace",
-    "all_subspaces",
-    "intersect",
-    "parse_effect",
-    "span",
-    "subspace_from_points",
-    "FieldElement",
-    "FieldPoly",
-    "default_primitive",
-    "element_power",
-    "is_primitive",
-    "Spread",
-    "SpreadCheck",
-    "cyclic_spread",
-    "mixed_spread",
-    "partial_spread",
-    "sub_subspace",
-    "verify_spread",
-    "Collineation",
-    "FeasibilityCount",
-    "SearchResult",
-    "StageRequirement",
-    "apply",
-    "apply_to_spread",
-    "apply_to_subspace",
-    "build_system",
-    "collineation_from_solution",
-    "count_feasible",
-    "find_collineation",
-    "is_invertible",
-    "solve_gf2",
-    "ExistenceReport",
-    "feasibility_report",
-    "full_spread_count",
-    "full_spread_exists",
-    "mixed_existence",
-    "overlap_witness",
-    "pairwise_min_overlap",
-    "partial_spread_guarantee",
-    "partial_spread_upper_bound",
-    "spread_report",
-    "Design",
-    "HalfNormalRow",
-    "VarianceGroup",
-    "VarianceReport",
-    "VarianceSpec",
-    "batch_indices",
-    "check_gls_equals_ols",
-    "check_lemma1",
-    "effect_variance",
-    "halfnormal_emit",
-    "incidence_matrix",
-    "simulate",
-    "variance_groups",
-    "ClearReport",
-    "DefiningSubgroup",
-    "FractionSpec",
-    "FractionalDesign",
-    "Generator",
-    "RankedDesign",
-    "build_fraction",
-    "choose_generators",
-    "clear_effects",
-    "defining_subgroup",
-    "parse_fraction_spec",
-    "rank_designs",
-    "stage_factor_sets",
-    "__version__",
-]
+    name
+    for module in (geometry, gf2, spreads, collineation, existence, randomization, fractional)
+    for name in module.__all__
+] + ["__version__"]

@@ -14,12 +14,11 @@ __all__ = [
     "reduce_vector",
     "rank",
     "is_independent",
-    "greedy_basis",
+    "echelon",
     "complete_basis",
     "apply_rows",
     "matmul",
     "invert",
-    "solve",
 ]
 
 
@@ -58,16 +57,21 @@ def is_independent(rows: Iterable[int]) -> bool:
     return True
 
 
-def greedy_basis(vectors: Iterable[int]) -> list[int]:
-    """Subset of the input forming a basis of its span, kept in input order."""
-    basis: list[int] = []
-    pivots: dict[int, int] = {}
-    for v in vectors:
-        red = reduce_vector(v, pivots)
-        if red:
-            pivots[red.bit_length() - 1] = red
-            basis.append(v)
-    return basis
+def echelon(rows: Iterable[int]) -> list[int]:
+    """Fully reduced row-echelon basis of the span, in ascending leading-bit order.
+
+    No row has another row's leading bit set.  These rows are also the greedy
+    basis of the span's points taken in ascending order (the first point
+    outside the span of those before it): each is the smallest point with its
+    leading bit.
+    """
+    pivots = _eliminate(rows)
+    order = sorted(pivots)
+    for i, top in enumerate(order):
+        for above in order[i + 1:]:
+            if (pivots[above] >> top) & 1:
+                pivots[above] ^= pivots[top]
+    return [pivots[top] for top in order]
 
 
 def complete_basis(vectors: Iterable[int], n: int) -> list[int]:
@@ -128,31 +132,3 @@ def invert(rows: list[int], n: int) -> list[int] | None:
                 pivots[u] ^= pivots[t]
     mask = (1 << n) - 1
     return [pivots[t] & mask for t in range(n)]
-
-
-def solve(rows: list[int], rhs_bits: list[int]) -> int | None:
-    """One solution of the system {row_i . x = rhs_i}, or None if inconsistent.
-
-    Free variables are set to 0; the returned int packs x bit-wise.
-    """
-    # Augment each row with its right-hand side in bit 0.
-    pivots: dict[int, int] = {}
-    for row, b in zip(rows, rhs_bits):
-        aug = (row << 1) | (b & 1)
-        while aug >> 1:
-            top = (aug >> 1).bit_length() - 1
-            if top not in pivots:
-                break
-            aug ^= pivots[top]
-        if aug >> 1:
-            pivots[(aug >> 1).bit_length() - 1] = aug
-        elif aug & 1:
-            return None
-    x = 0
-    # Ascending pivot order: each row's lower mask bits are already decided.
-    for top in sorted(pivots):
-        aug = pivots[top]
-        mask = (aug >> 1) & ~(1 << top)
-        if (aug & 1) ^ ((mask & x).bit_count() & 1):
-            x |= 1 << top
-    return x

@@ -15,13 +15,14 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from . import bitlin
 from . import collineation as coll
 from . import existence, fractional, spreads
-from .geometry import LETTERS, Effect, intersect, parse_effect, span
+from .geometry import LETTERS, Effect, Subspace, intersect, parse_effect, span
 from .gf2 import FieldPoly
 from .randomization import (
     Design,
@@ -110,19 +111,31 @@ def _required_rank(stage: CliStage) -> int:
 
 
 def _build_spread(
-    p: int, t: int | None, dims: list[int], poly: FieldPoly | None
+    p: int,
+    t: int | None,
+    dims: list[int],
+    poly: FieldPoly | None,
+    partial: bool = True,
 ) -> spreads.Spread:
     """Pick the spread family a request calls for.
 
     Explicit t wins; otherwise uniform stage dimensions choose a full or
     partial spread and one oversized stage routes to the mixed construction.
+    partial=False refuses a t that does not divide p.
     """
     if t is None:
         t = max(dims)
         if 2 * t > p and len(set(dims)) > 1:
             return spreads.mixed_spread(p, t)
+    if not 1 <= t < p:
+        raise ValueError(f"spread dimension must satisfy 1 <= t < p, got t={t}, p={p}")
     if p % t == 0:
         return spreads.cyclic_spread(p, t, poly)
+    if not partial:
+        raise ValueError(
+            f"no full ({t - 1})-spread of PG({p - 1}, 2): {t} does not divide "
+            f"{p}; pass --partial for the largest guaranteed partial spread"
+        )
     if poly is not None:
         raise ValueError("a custom polynomial only applies to a full cyclic spread")
     return spreads.partial_spread(p, t)
@@ -152,8 +165,12 @@ def _matrix_rows(m: coll.Collineation) -> list[list[int]]:
     return [[(row >> j) & 1 for j in range(m.p)] for row in m.rows]
 
 
-def _sorted_words(points: frozenset[int] | list[int], p: int) -> list[str]:
-    return [Effect(b, p).word for b in sorted(points)]
+def _words(masks: Iterable[int], p: int) -> list[str]:
+    return [Effect(m, p).word for m in masks]
+
+
+def _point_words(sub: Subspace) -> list[str]:
+    return [e.word for e in sub.points]
 
 
 # ---------------------------------------------------------------- exists
@@ -183,11 +200,9 @@ def _spread_grid(spread: spreads.Spread) -> str:
     """Tab-separated member-per-column grid, cyclic columns in field order."""
     header = "\t".join(f"S_{i + 1}" for i in range(len(spread.members)))
     if spread.cycle_table is not None:
-        columns = [[e.word for e in col] for col in spread.cycle_table]
+        columns = [_words(col, spread.p) for col in spread.cycle_table]
     else:
-        columns = [
-            _sorted_words(mem.point_masks, spread.p) for mem in spread.members
-        ]
+        columns = [_point_words(mem) for mem in spread.members]
     depth = max(len(col) for col in columns)
     lines = [header]
     for row in range(depth):
@@ -198,21 +213,8 @@ def _spread_grid(spread: spreads.Spread) -> str:
 
 
 def cmd_spread(args: argparse.Namespace) -> int:
-    p, t = args.p, args.t
-    poly = _parse_poly(args.poly, p)
-    if p % t == 0:
-        spread = spreads.cyclic_spread(p, t, poly)
-    elif args.partial:
-        if poly is not None:
-            raise ValueError("a custom polynomial only applies to a full cyclic spread")
-        spread = spreads.partial_spread(p, t)
-    else:
-        print(
-            f"no full ({t - 1})-spread of PG({p - 1}, 2): {t} does not divide "
-            f"{p}; pass --partial for the largest guaranteed partial spread",
-            file=sys.stderr,
-        )
-        return EXIT_INVALID
+    poly = _parse_poly(args.poly, args.p)
+    spread = _build_spread(args.p, args.t, [args.t], poly, partial=args.partial)
     print(_spread_grid(spread))
     return EXIT_OK
 
@@ -284,8 +286,8 @@ def _construct_full(args, stages_cli: list[CliStage], seed: int):
                 "required": [e.word for e in s.effects],
                 "exact": s.exact,
                 "member_index": result.stage_members[i],
-                "basis": [b.word for b in sub.basis],
-                "points": _sorted_words(sub.point_masks, p),
+                "basis": _words(sub.basis, p),
+                "points": _point_words(sub),
             }
             for i, (s, sub) in enumerate(zip(stages_cli, stage_subspaces))
         ],
@@ -293,7 +295,7 @@ def _construct_full(args, stages_cli: list[CliStage], seed: int):
         "spread": {
             "kind": transformed.kind,
             "members": [
-                _sorted_words(mem.point_masks, p) for mem in transformed.members
+                _point_words(mem) for mem in transformed.members
             ],
         },
         "fraction": None,
@@ -386,10 +388,10 @@ def _construct_fraction(args, seed: int):
                 "required": [e.word for e in stages_cli[i].effects],
                 "exact": stages_cli[i].exact,
                 "member_index": member_for_stage[i],
-                "basis": [b.word for b in base_design.stages[i].basis],
-                "points": _sorted_words(base_design.stages[i].point_masks, u),
-                "lifted_basis": [b.word for b in fraction.stages[i].basis],
-                "lifted_points": _sorted_words(fraction.stages[i].point_masks, r),
+                "basis": _words(base_design.stages[i].basis, u),
+                "points": _point_words(base_design.stages[i]),
+                "lifted_basis": _words(fraction.stages[i].basis, r),
+                "lifted_points": _point_words(fraction.stages[i]),
             }
             for i in range(len(stages_cli))
         ],
@@ -397,7 +399,7 @@ def _construct_fraction(args, seed: int):
         "spread": {
             "kind": transformed.kind,
             "members": [
-                _sorted_words(mem.point_masks, u) for mem in transformed.members
+                _point_words(mem) for mem in transformed.members
             ],
         },
         "fraction": fractional.fraction_spec_to_dict(spec),
@@ -545,7 +547,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 "collineation": _matrix_rows(result.collineation),
                 "stage_members": [j + 1 for j in result.stage_members],
                 "members": [
-                    _sorted_words(mem.point_masks, p) for mem in transformed.members
+                    _point_words(mem) for mem in transformed.members
                 ],
             },
             indent=2,

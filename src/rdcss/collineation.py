@@ -14,12 +14,11 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from . import bitlin
-from .geometry import Effect, Subspace, span, subspace_from_points
+from .geometry import Effect, Subspace, span
 from .spreads import Spread
 
 __all__ = [
     "Collineation",
-    "LinearSystem",
     "StageRequirement",
     "SearchResult",
     "FeasibilityCount",
@@ -27,9 +26,6 @@ __all__ = [
     "apply_to_subspace",
     "apply_to_spread",
     "is_invertible",
-    "build_system",
-    "solve_gf2",
-    "collineation_from_solution",
     "find_collineation",
     "count_feasible",
 ]
@@ -69,17 +65,13 @@ def is_invertible(m: Collineation) -> bool:
 
 
 def apply_to_subspace(m: Collineation, s: Subspace) -> Subspace:
+    """Image subspace; a collineation maps a basis to a basis of the image."""
     rows = list(m.rows)
-    basis = tuple(Effect(bitlin.apply_rows(rows, b.bits), m.p) for b in s.basis)
-    points = tuple(
-        Effect(mask, m.p)
-        for mask in sorted(bitlin.apply_rows(rows, e.bits) for e in s.points)
-    )
-    return Subspace(p=m.p, basis=basis, points=points)
+    return Subspace(p=m.p, basis=tuple(bitlin.apply_rows(rows, b) for b in s.basis))
 
 
 def apply_to_spread(m: Collineation, spread: Spread) -> Spread:
-    """Image spread: members map pointwise; disjointness and sizes survive."""
+    """Image spread: members map basis by basis; disjointness and sizes survive."""
     if spread.p != m.p:
         raise ValueError("spread width does not match collineation size")
     if not is_invertible(m):
@@ -87,67 +79,12 @@ def apply_to_spread(m: Collineation, spread: Spread) -> Spread:
     members = tuple(apply_to_subspace(m, member) for member in spread.members)
     cycle = None
     if spread.cycle_table is not None:
+        rows = list(m.rows)
         cycle = tuple(
-            tuple(apply(m, e) for e in column) for column in spread.cycle_table
+            tuple(bitlin.apply_rows(rows, x) for x in column)
+            for column in spread.cycle_table
         )
     return Spread(p=spread.p, members=members, kind=spread.kind, cycle_table=cycle)
-
-
-@dataclass(frozen=True)
-class LinearSystem:
-    """Stacked constraints Qx = delta for the p^2 unknown matrix entries.
-
-    Unknown x at index i*p + j is the matrix entry (i, j).  Row block s holds
-    the p coordinate equations of pair s; q_rows[r] packs equation r's
-    coefficients, bit i*p + j multiplying entry (i, j); delta packs the
-    right-hand sides.
-    """
-
-    p: int
-    q_rows: tuple[int, ...]
-    delta: int
-
-
-def build_system(assignment: Sequence[tuple[Effect, Effect]], p: int) -> LinearSystem:
-    """Linear system forcing source'M = target' for each of the p pairs."""
-    if len(assignment) != p:
-        raise ValueError(f"need exactly {p} source-target pairs, got {len(assignment)}")
-    sources = [s.bits for s, _ in assignment]
-    targets = [t.bits for _, t in assignment]
-    if any(e.p != p for pair in assignment for e in pair):
-        raise ValueError("effect width does not match p")
-    if not bitlin.is_independent(sources):
-        raise ValueError("source effects are not independent")
-    if not bitlin.is_independent(targets):
-        raise ValueError("target effects are not independent")
-    q_rows: list[int] = []
-    delta = 0
-    for s, (src, tgt) in enumerate(zip(sources, targets)):
-        for rho in range(p):
-            # Equation for coordinate rho of pair s: the unknowns M[tau][rho]
-            # over the source's set bits tau.
-            row = 0
-            v = src
-            while v:
-                tau = (v & -v).bit_length() - 1
-                row |= 1 << (tau * p + rho)
-                v &= v - 1
-            q_rows.append(row)
-            if (tgt >> rho) & 1:
-                delta |= 1 << (s * p + rho)
-    return LinearSystem(p=p, q_rows=tuple(q_rows), delta=delta)
-
-
-def solve_gf2(system: LinearSystem) -> int | None:
-    """One solution of the system (free variables 0), or None if inconsistent."""
-    rhs = [(system.delta >> i) & 1 for i in range(len(system.q_rows))]
-    return bitlin.solve(list(system.q_rows), rhs)
-
-
-def collineation_from_solution(x: int, p: int) -> Collineation:
-    """Unpack a solution vector into the p x p matrix it encodes."""
-    mask = (1 << p) - 1
-    return Collineation(p, tuple((x >> (i * p)) & mask for i in range(p)))
 
 
 @dataclass(frozen=True)
@@ -294,23 +231,19 @@ def find_collineation(
         yield from rec(0, [])
 
     def attempt(pairs: list[tuple[int, int]], inj: tuple[int, ...]) -> Collineation | None:
-        if not bitlin.is_independent([s for s, _ in pairs]):
-            return None  # the system would be inconsistent (targets independent)
-        assignment = [(Effect(s, p), Effect(t, p)) for s, t in pairs]
-        x = solve_gf2(build_system(assignment, p))
-        if x is None:
+        # M = S^-1 T maps each source row onto its target; dependent sources
+        # admit no such M, and independent targets make M invertible.
+        inv = bitlin.invert([s for s, _ in pairs], p)
+        if inv is None:
             return None
-        coll = collineation_from_solution(x, p)
-        if not is_invertible(coll):
-            return None
-        rows = list(coll.rows)
+        rows = bitlin.matmul(inv, [t for _, t in pairs])
         for i in range(m):
             image = {bitlin.apply_rows(rows, pt) for pt in member_points[inj[i]]}
             if not all(mask in image for mask in stage_targets[i]):
                 return None
             if exact_sets[i] is not None and image != exact_sets[i]:
                 return None
-        return coll
+        return Collineation(p, tuple(rows))
 
     tried = 0
     for inj in injections(0, set(), []):
@@ -349,7 +282,7 @@ def count_feasible(
     consistent with invertible solution.  With the p targets jointly
     independent that holds iff the p chosen sources are independent, which is
     what the inner loop checks; the equivalence is exercised against the
-    solver in the test suite.
+    paper's linear-system solve in the test suite.
     """
     p = spread.p
     stage_targets, ranks, _ = _validated_requirements(spread, requirements)

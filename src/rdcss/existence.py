@@ -9,7 +9,7 @@ section construction for one oversized stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .geometry import Effect, Subspace, span
 
@@ -137,15 +137,18 @@ def partial_spread_upper_bound(p: int, t: int) -> int:
     return _nominal(p, t) - s_min
 
 
-def spread_report(p: int, t: int) -> ExistenceReport:
-    """How many pairwise-disjoint subspaces of one dimension fit in PG(p-1,2)."""
-    _check_dim(p, t)
+def _uniform_report(p: int, t: int, stage_dims: tuple[int, ...] | None) -> ExistenceReport:
+    """Andre or Eisfeld-Storme/Govaerts report for stages that all have dim t.
+
+    stage_dims None asks for the member count alone, i.e. for one stage.
+    """
+    m = len(stage_dims) if stage_dims else 1
     if p % t == 0:
         count = full_spread_count(p, t)
         return ExistenceReport(
-            verdict="exists",
+            verdict="exists" if m <= count else "exists-with-overlap",
             p=p,
-            stage_dims=None,
+            stage_dims=stage_dims,
             t=t,
             guaranteed_count=count,
             upper_bound=count,
@@ -155,10 +158,16 @@ def spread_report(p: int, t: int) -> ExistenceReport:
     k, r = divmod(p, t)
     guarantee = partial_spread_guarantee(p, t)
     upper = partial_spread_upper_bound(p, t)
+    if m <= guarantee:
+        verdict = "exists"
+    elif m <= upper:
+        verdict = "unknown-within-bounds"
+    else:
+        verdict = "exists-with-overlap"
     return ExistenceReport(
-        verdict="exists",
+        verdict=verdict,
         p=p,
-        stage_dims=None,
+        stage_dims=stage_dims,
         t=t,
         guaranteed_count=guarantee,
         upper_bound=upper,
@@ -171,6 +180,12 @@ def spread_report(p: int, t: int) -> ExistenceReport:
             f"Govaerts deficiency bound: at most {upper} disjoint members",
         ),
     )
+
+
+def spread_report(p: int, t: int) -> ExistenceReport:
+    """How many pairwise-disjoint subspaces of one dimension fit in PG(p-1,2)."""
+    _check_dim(p, t)
+    return _uniform_report(p, t, None)
 
 
 def mixed_existence(p: int, t1: int, t_list: tuple[int, ...]) -> ExistenceReport:
@@ -217,17 +232,8 @@ def mixed_existence(p: int, t1: int, t_list: tuple[int, ...]) -> ExistenceReport
         )
     if 2 * t1 < p:
         report = feasibility_report(p, dims)
-        return ExistenceReport(
-            verdict=report.verdict,
-            p=report.p,
-            stage_dims=report.stage_dims,
-            t=report.t,
-            guaranteed_count=report.guaranteed_count,
-            upper_bound=report.upper_bound,
-            min_overlap_size=report.min_overlap_size,
-            k=report.k,
-            r=report.r,
-            deficiency=report.deficiency,
+        return replace(
+            report,
             rules=(f"t1 = {t1} <= p/2: no oversized stage, equal-size machinery applies",)
             + report.rules,
         )
@@ -265,74 +271,35 @@ def feasibility_report(p: int, stage_dims: tuple[int, ...]) -> ExistenceReport:
     worst = max((o for _, _, o in overlaps), default=0)
 
     if worst > 0:
-        rules = [
+        rules = tuple(
             f"overlap dimension bound: dims {dims[a]},{dims[b]} sum past p, "
             f"at least {o} shared effects"
             for a, b, o in overlaps
             if o > 0
-        ]
-        guarantee = upper = None
-        k = r = None
-        if len(set(dims)) == 1 and p % t_max:
-            k, r = divmod(p, t_max)
-            guarantee = partial_spread_guarantee(p, t_max)
-            upper = partial_spread_upper_bound(p, t_max)
-            rules.append(f"Eisfeld-Storme guarantee: {guarantee} disjoint members")
-            rules.append(f"Govaerts deficiency bound: at most {upper} disjoint members")
-        return ExistenceReport(
+        )
+        if len(set(dims)) > 1:
+            return ExistenceReport(
+                verdict="exists-with-overlap",
+                p=p,
+                stage_dims=dims,
+                t=None,
+                guaranteed_count=None,
+                upper_bound=None,
+                min_overlap_size=worst,
+                rules=rules,
+            )
+        # Equal dims overlap only when t > p/2, so t does not divide p.
+        report = _uniform_report(p, t_max, dims)
+        return replace(
+            report,
             verdict="exists-with-overlap",
-            p=p,
-            stage_dims=dims,
-            t=t_max if len(set(dims)) == 1 else None,
-            guaranteed_count=guarantee,
-            upper_bound=upper,
             min_overlap_size=worst,
-            k=k,
-            r=r,
-            rules=tuple(rules),
+            deficiency=None,
+            rules=rules + report.rules,
         )
 
     if len(set(dims)) == 1:
-        t = t_max
-        if p % t == 0:
-            count = full_spread_count(p, t)
-            verdict = "exists" if m <= count else "exists-with-overlap"
-            return ExistenceReport(
-                verdict=verdict,
-                p=p,
-                stage_dims=dims,
-                t=t,
-                guaranteed_count=count,
-                upper_bound=count,
-                min_overlap_size=0,
-                rules=(f"Andre divisibility: t | p, full spread of {count} members",),
-            )
-        k, r = divmod(p, t)
-        guarantee = partial_spread_guarantee(p, t)
-        upper = partial_spread_upper_bound(p, t)
-        if m <= guarantee:
-            verdict = "exists"
-        elif m <= upper:
-            verdict = "unknown-within-bounds"
-        else:
-            verdict = "exists-with-overlap"
-        deficiency = _nominal(p, t) - upper
-        return ExistenceReport(
-            verdict=verdict,
-            p=p,
-            stage_dims=dims,
-            t=t,
-            guaranteed_count=guarantee,
-            upper_bound=upper,
-            min_overlap_size=0,
-            k=k,
-            r=r,
-            deficiency=deficiency,
-            rules=(
-                f"Eisfeld-Storme guarantee: {guarantee} disjoint members",
-                f"Govaerts deficiency bound: at most {upper} disjoint members",
-            ),
-        )
+        return _uniform_report(p, t_max, dims)
 
     if 2 * t_max > p:
         # Only one stage can exceed p/2 here: two such dims would sum past p

@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import LETTERS, Effect, Subspace, span
+from .geometry import LETTERS, Effect, Subspace, parse_effect
 from .randomization import Design
 
 __all__ = [
@@ -218,13 +218,13 @@ def build_fraction(base: Design, spec: FractionSpec) -> FractionalDesign:
     subgroup = defining_subgroup(spec)
     words = spec.defining_words()
     r = spec.factors
-    stages = []
-    for sub in base.stages:
-        gens = [Effect(b.bits, r) for b in sub.basis] + list(words)
-        stages.append(span(gens))
-    return FractionalDesign(
-        base=base, spec=spec, stages=tuple(stages), subgroup=subgroup
+    # Base bases use only basic bits and each word holds its own added bit,
+    # so the lifted generators are independent.
+    stages = tuple(
+        Subspace(p=r, basis=(*sub.basis, *(w.bits for w in words)))
+        for sub in base.stages
     )
+    return FractionalDesign(base=base, spec=spec, stages=stages, subgroup=subgroup)
 
 
 def stage_factor_sets(design: FractionalDesign) -> tuple[tuple[str, ...], ...]:
@@ -392,24 +392,12 @@ def parse_fraction_spec(data: str | dict) -> FractionSpec:
                 stage = int(entry["stage"]) - 1
         else:
             word = entry
-        alias = _parse_basic_word(str(word), basic)
+        alias = parse_effect(str(word), basic)
         gens.append(Generator(letter=letter, alias=alias, stage=stage))
     extra = set(raw) - {g.letter for g in gens}
     if extra:
         raise ValueError(f"unexpected generator letters: {sorted(extra)}")
     return FractionSpec(factors=factors, basic=basic, generators=tuple(gens))
-
-
-def _parse_basic_word(word: str, u: int) -> Effect:
-    bits = 0
-    for ch in word:
-        j = LETTERS.find(ch.upper())
-        if not 0 <= j < u:
-            raise ValueError(f"unknown basic factor letter {ch!r} in alias {word!r}")
-        bits |= 1 << j
-    if bits == 0:
-        raise ValueError("alias word must name at least one basic factor")
-    return Effect(bits, u)
 
 
 def fraction_spec_to_dict(spec: FractionSpec) -> dict:

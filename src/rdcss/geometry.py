@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import bitlin
 
@@ -24,8 +23,6 @@ __all__ = [
     "subspace_from_points",
     "intersect",
     "Subspace",
-    "EffectSpace",
-    "all_subspaces",
 ]
 
 LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWX"
@@ -94,11 +91,18 @@ def rank(effects: Sequence[Effect]) -> int:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A t-dimensional subspace of effects: 2^t - 1 points closed under XOR."""
+    """A t-dimensional subspace of effects, held as t independent basis masks.
+
+    The basis order labels the batches (see randomization.batch_indices) and
+    is what design files record.  span keeps its generators in order; spread
+    members and intersections carry the reduced echelon basis
+    (bitlin.echelon), which equals the greedy basis of the sorted points.
+    The 2^t - 1 points are built on first access: point_masks as a set,
+    points as Effects in ascending order.
+    """
 
     p: int
-    basis: tuple[Effect, ...]
-    points: tuple[Effect, ...]
+    basis: tuple[int, ...]
 
     @property
     def dim(self) -> int:
@@ -106,26 +110,24 @@ class Subspace:
 
     @cached_property
     def point_masks(self) -> frozenset[int]:
-        return frozenset(e.bits for e in self.points)
+        masks = [0]
+        for g in self.basis:
+            masks += [x ^ g for x in masks]
+        return frozenset(masks[1:])
+
+    @cached_property
+    def points(self) -> tuple[Effect, ...]:
+        return tuple(Effect(m, self.p) for m in sorted(self.point_masks))
 
     def contains(self, effect: Effect) -> bool:
         return effect.bits in self.point_masks
 
     def __len__(self) -> int:
-        return len(self.points)
-
-
-def _span_masks(basis_masks: Sequence[int]) -> list[int]:
-    masks = [0]
-    for g in basis_masks:
-        masks += [x ^ g for x in masks]
-    masks.pop(0)
-    masks.sort()
-    return masks
+        return (1 << self.dim) - 1
 
 
 def span(generators: Sequence[Effect]) -> Subspace:
-    """Subspace spanned by independent generators."""
+    """Subspace spanned by independent generators, kept as its basis in order."""
     if not generators:
         raise ValueError("span needs at least one generator")
     p = _same_space(generators)
@@ -135,67 +137,35 @@ def span(generators: Sequence[Effect]) -> Subspace:
         if not red:
             raise ValueError(f"generators not independent: {g.word} is spanned by the others")
         pivots[red.bit_length() - 1] = red
-    points = tuple(Effect(m, p) for m in _span_masks([g.bits for g in generators]))
-    return Subspace(p=p, basis=tuple(generators), points=points)
+    return Subspace(p=p, basis=tuple(g.bits for g in generators))
 
 
 def subspace_from_points(points: Sequence[Effect]) -> Subspace:
-    """Build a Subspace from its full point set, verifying closure."""
+    """Build a Subspace from its full point set, verifying closure.
+
+    The basis is the reduced echelon basis, which is also the greedy basis of
+    the points in ascending order.
+    """
     if not points:
         raise ValueError("empty point set")
     p = _same_space(points)
-    masks = sorted({e.bits for e in points})
+    masks = {e.bits for e in points}
     if len(masks) != len(points):
         raise ValueError("duplicate points")
-    basis_masks = bitlin.greedy_basis(masks)
-    t = len(basis_masks)
-    if len(masks) != (1 << t) - 1:
-        raise ValueError(f"point set of size {len(masks)} does not fill a rank-{t} subspace")
-    if _span_masks(basis_masks) != masks:
-        raise ValueError("point set is not closed under XOR")
-    return Subspace(
-        p=p,
-        basis=tuple(Effect(m, p) for m in basis_masks),
-        points=tuple(Effect(m, p) for m in masks),
-    )
+    basis = bitlin.echelon(masks)
+    # The points span a rank-t subspace, so they fill it iff there are 2^t - 1.
+    if len(masks) != (1 << len(basis)) - 1:
+        raise ValueError(
+            f"point set of size {len(masks)} does not fill a rank-{len(basis)} subspace"
+        )
+    return Subspace(p=p, basis=tuple(basis))
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace | None:
     """Intersection subspace, or None when the subspaces share no effect."""
     if s1.p != s2.p:
         raise ValueError("subspaces live in different factor counts")
-    common = sorted(s1.point_masks & s2.point_masks)
+    common = s1.point_masks & s2.point_masks
     if not common:
         return None
-    return subspace_from_points(tuple(Effect(m, s1.p) for m in common))
-
-
-@dataclass(frozen=True)
-class EffectSpace:
-    """The full effect space of a 2^p design: every point of PG(p-1, 2)."""
-
-    p: int
-
-    @cached_property
-    def all_points(self) -> tuple[Effect, ...]:
-        return tuple(Effect(m, self.p) for m in range(1, 1 << self.p))
-
-    def __len__(self) -> int:
-        return (1 << self.p) - 1
-
-
-def all_subspaces(p: int, t: int) -> Iterable[Subspace]:
-    """Every (t-1)-dimensional projective subspace of PG(p-1, 2).
-
-    Exhaustive generation for small p; intended for verification sweeps.
-    """
-    seen: set[frozenset[int]] = set()
-    masks = range(1, 1 << p)
-    for combo in combinations(masks, t):
-        if not bitlin.is_independent(combo):
-            continue
-        pts = frozenset(_span_masks(combo))
-        if pts in seen:
-            continue
-        seen.add(pts)
-        yield subspace_from_points(tuple(Effect(m, p) for m in sorted(pts)))
+    return Subspace(p=s1.p, basis=tuple(bitlin.echelon(common)))

@@ -1,4 +1,4 @@
-"""GF(2^p) arithmetic over a primitive polynomial.
+"""GF(2^p) power tables over a primitive polynomial.
 
 Field elements are coordinate vectors on the basis w^(p-1), ..., w, 1, where w
 is a root of the generating polynomial: coords[0] multiplies w^(p-1) and
@@ -14,13 +14,10 @@ from functools import reduce
 
 __all__ = [
     "FieldPoly",
-    "FieldElement",
     "PRIMITIVE_EXPONENTS",
     "default_primitive",
     "is_primitive",
-    "element_power",
     "power_masks",
-    "mul",
 ]
 
 # One primitive polynomial per degree, as exponent tuples.  These are the
@@ -91,30 +88,6 @@ class FieldPoly:
             if self.coeffs[k]:
                 terms.append("1" if k == 0 else "x" if k == 1 else f"x^{k}")
         return " + ".join(terms)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of GF(2^p); coords[0] multiplies w^(p-1), coords[p-1] multiplies 1."""
-
-    coords: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.coords or any(c not in (0, 1) for c in self.coords):
-            raise ValueError("coords must be a nonempty 0/1 tuple")
-
-    @property
-    def p(self) -> int:
-        return len(self.coords)
-
-    @property
-    def mask(self) -> int:
-        """Packed form with bit j = coords[j]."""
-        return sum(c << j for j, c in enumerate(self.coords))
-
-    @classmethod
-    def from_mask(cls, mask: int, p: int) -> "FieldElement":
-        return cls(tuple((mask >> j) & 1 for j in range(p)))
 
 
 def default_primitive(p: int) -> FieldPoly:
@@ -202,30 +175,3 @@ def power_masks(poly: FieldPoly):
     for _ in range((1 << p) - 1):
         yield a
         a = (a >> 1) ^ (red if a & 1 else 0)
-
-
-def element_power(i: int, poly: FieldPoly) -> FieldElement:
-    """w^i as a FieldElement; i is reduced modulo 2^p - 1."""
-    p = poly.degree
-    i %= (1 << p) - 1
-    lsb = _powmod(0b10, i, poly.mask)
-    mask = 0
-    for k in range(p):
-        mask |= ((lsb >> (p - 1 - k)) & 1) << k
-    return FieldElement.from_mask(mask, p)
-
-
-def mul(a: FieldElement, b: FieldElement, poly: FieldPoly) -> FieldElement:
-    """Product of two field elements modulo poly."""
-    p = poly.degree
-    if a.p != p or b.p != p:
-        raise ValueError("element width does not match polynomial degree")
-
-    def to_lsb(e: FieldElement) -> int:
-        return sum(e.coords[j] << (p - 1 - j) for j in range(p))
-
-    prod = _polymod(_clmul(to_lsb(a), to_lsb(b)), poly.mask)
-    mask = 0
-    for k in range(p):
-        mask |= ((prod >> (p - 1 - k)) & 1) << k
-    return FieldElement.from_mask(mask, p)

@@ -79,7 +79,7 @@ def batch_indices(design: Design, stage: int) -> np.ndarray:
     runs = np.arange(design.n, dtype=np.int64)
     idx = np.zeros(design.n, dtype=np.int64)
     for b in sub.basis:
-        idx = (idx << 1) | (np.bitwise_count(runs & b.bits) & 1).astype(np.int64)
+        idx = (idx << 1) | (np.bitwise_count(runs & b) & 1).astype(np.int64)
     return idx
 
 

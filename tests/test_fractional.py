@@ -175,7 +175,7 @@ def test_lifted_stages_are_batch_constant_preimages():
         labels = {}
         for x, mask in enumerate(design.run_masks):
             key = tuple(
-                (x & b.bits).bit_count() & 1 for b in stage.basis
+                (x & b).bit_count() & 1 for b in stage.basis
             )
             labels.setdefault(key, []).append(mask)
         for w in range(1, 1 << 8):
@@ -262,7 +262,7 @@ def test_parse_fraction_spec_errors():
                 "generators": {"G": "AB", "Z": "CD"},
             }
         )
-    with pytest.raises(ValueError, match="unknown basic factor letter"):
+    with pytest.raises(ValueError, match="unknown factor letter"):
         parse_fraction_spec(
             {"factors": 7, "basic": 6, "generators": {"G": "AG"}}
         )
@@ -270,6 +270,16 @@ def test_parse_fraction_spec_errors():
         parse_fraction_spec("[1, 2]")
     with pytest.raises(ValueError, match="map added letters"):
         parse_fraction_spec({"factors": 7, "basic": 6, "generators": []})
+
+
+def test_parse_fraction_spec_rejects_repeated_alias_letter():
+    # Read as a set of letters, "AAB" would silently become AB.
+    with pytest.raises(ValueError, match="repeated factor letter 'A'"):
+        parse_fraction_spec({"factors": 7, "basic": 6, "generators": {"G": "AAB"}})
+    with pytest.raises(ValueError, match="repeated factor letter 'B'"):
+        parse_fraction_spec(
+            {"factors": 8, "basic": 6, "generators": {"G": "ABC", "H": {"alias": "BDB"}}}
+        )
 
 
 def test_rank_designs_wlp_prefers_higher_resolution():

@@ -1,13 +1,13 @@
 """Effect/word handling and projective subspaces over small factor counts."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from rdcss.geometry import (
     Effect,
-    EffectSpace,
-    all_subspaces,
     intersect,
     parse_effect,
     rank,
@@ -100,9 +100,18 @@ def test_span_points_match_oracle(p, data):
 
 def test_span_keeps_generator_order():
     sub = span([Effect(0b110, 4), Effect(0b001, 4)])
-    assert [e.bits for e in sub.basis] == [0b110, 0b001]
+    assert sub.basis == (0b110, 0b001)
     assert sub.contains(Effect(0b111, 4))
     assert not sub.contains(Effect(0b100, 4))
+
+
+def test_subspace_points_are_built_on_first_access():
+    sub = span([Effect(0b110, 4), Effect(0b001, 4)])
+    assert "point_masks" not in vars(sub) and "points" not in vars(sub)
+    assert len(sub) == 3
+    assert "point_masks" not in vars(sub)
+    assert [e.word for e in sub.points] == ["A", "BC", "ABC"]
+    assert sub.point_masks == {0b001, 0b110, 0b111}
 
 
 def test_span_requires_generators():
@@ -154,22 +163,24 @@ def test_intersect_rejects_mixed_spaces():
         intersect(span([Effect(1, 4)]), span([Effect(1, 5)]))
 
 
-def test_effect_space_enumerates_all_points():
-    space = EffectSpace(4)
-    assert len(space) == 15
-    assert [e.bits for e in space.all_points] == list(range(1, 16))
-
-
 @pytest.mark.parametrize(
     "p, t, count",
     [(4, 2, 35), (4, 3, 15), (3, 2, 7), (4, 1, 15), (5, 2, 155)],
 )
 def test_all_subspaces_counts(p, t, count):
-    subs = list(all_subspaces(p, t))
+    subs = all_subspaces_brute(p, t)
     assert len(subs) == count
-    assert len({s.point_masks for s in subs}) == count
+    # Every subspace round-trips through its reduced echelon basis.
+    for pts in subs:
+        rebuilt = subspace_from_points(tuple(Effect(m, p) for m in sorted(pts)))
+        assert rebuilt.dim == t
+        assert rebuilt.point_masks == pts
 
 
 def test_all_subspaces_matches_brute_force():
-    got = {s.point_masks for s in all_subspaces(4, 2)}
+    # Any two distinct points of PG(3, 2) span one of its 35 lines.
+    got = {
+        span([Effect(a, 4), Effect(b, 4)]).point_masks
+        for a, b in combinations(range(1, 16), 2)
+    }
     assert got == all_subspaces_brute(4, 2)

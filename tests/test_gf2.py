@@ -6,16 +6,13 @@ from hypothesis import strategies as st
 
 from rdcss.gf2 import (
     PRIMITIVE_EXPONENTS,
-    FieldElement,
     FieldPoly,
     default_primitive,
-    element_power,
     is_primitive,
-    mul,
     power_masks,
 )
 
-from oracles import field_power_mask
+from oracles import field_mul_mask, field_power_mask
 
 
 @pytest.mark.parametrize("p", sorted(PRIMITIVE_EXPONENTS))
@@ -45,53 +42,47 @@ def test_power_masks_hit_every_nonzero_point_once(p):
 
 
 def test_element_power_anchors_p6():
-    poly = default_primitive(6)
+    masks = list(power_masks(default_primitive(6)))
     # Multiplicative identity sits on the last coordinate: the F axis.
-    assert element_power(0, poly).mask == 1 << 5
-    assert element_power(9, poly).mask == (1 << 1) | (1 << 2)  # BC
-    assert element_power(18, poly).mask == 0b111100  # CDEF
-    # Exponents reduce modulo 2^6 - 1.
-    assert element_power(63, poly) == element_power(0, poly)
-    assert element_power(-1, poly) == element_power(62, poly)
+    assert masks[0] == 1 << 5
+    assert masks[9] == (1 << 1) | (1 << 2)  # BC
+    assert masks[18] == 0b111100  # CDEF
+    # Exponents reduce modulo 2^6 - 1: w^62 * w = w^0.
+    assert field_mul_mask(masks[62], masks[1], PRIMITIVE_EXPONENTS[6], 6) == masks[0]
 
 
 @pytest.mark.parametrize("p", range(2, 9))
 def test_element_power_agrees_with_power_masks(p):
-    poly = default_primitive(p)
-    for i, mask in enumerate(power_masks(poly)):
-        assert element_power(i, poly).mask == mask
+    # Each step of the table is one multiplication by w in the field.
+    masks = list(power_masks(default_primitive(p)))
+    w = masks[1]
+    for i, mask in enumerate(masks):
+        want = masks[(i + 1) % len(masks)]
+        assert field_mul_mask(mask, w, PRIMITIVE_EXPONENTS[p], p) == want
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())
 def test_mul_adds_exponents(p, data):
-    poly = default_primitive(p)
-    order = (1 << p) - 1
+    masks = list(power_masks(default_primitive(p)))
+    order = len(masks)
     i = data.draw(st.integers(min_value=0, max_value=order - 1))
     j = data.draw(st.integers(min_value=0, max_value=order - 1))
-    a, b = element_power(i, poly), element_power(j, poly)
-    assert mul(a, b, poly) == element_power(i + j, poly)
-    assert mul(a, b, poly) == mul(b, a, poly)
+    product = field_mul_mask(masks[i], masks[j], PRIMITIVE_EXPONENTS[p], p)
+    assert product == masks[(i + j) % order]
 
 
 @given(st.integers(min_value=2, max_value=8), st.data())
 def test_frobenius_is_additive(p, data):
-    poly = default_primitive(p)
+    # Squaring read off the power table (w^i -> w^2i) must be additive.
+    masks = list(power_masks(default_primitive(p)))
+    log = {m: i for i, m in enumerate(masks)}
+
+    def sq(x):
+        return masks[2 * log[x] % len(masks)] if x else 0
+
     draw_mask = st.integers(min_value=0, max_value=(1 << p) - 1)
-    a = FieldElement.from_mask(data.draw(draw_mask), p)
-    b = FieldElement.from_mask(data.draw(draw_mask), p)
-    sq = lambda e: mul(e, e, poly)
-    summed = FieldElement.from_mask(a.mask ^ b.mask, p)
-    assert sq(summed).mask == sq(a).mask ^ sq(b).mask
-
-
-def test_mul_identity_and_width_check():
-    poly = default_primitive(4)
-    one = element_power(0, poly)
-    for mask in range(1, 16):
-        e = FieldElement.from_mask(mask, 4)
-        assert mul(e, one, poly) == e
-    with pytest.raises(ValueError, match="width"):
-        mul(FieldElement.from_mask(1, 3), one, poly)
+    a, b = data.draw(draw_mask), data.draw(draw_mask)
+    assert sq(a ^ b) == sq(a) ^ sq(b)
 
 
 def test_is_primitive_rejects_irreducible_non_primitive():
@@ -124,16 +115,6 @@ def test_field_poly_round_trip_and_str():
     assert FieldPoly.from_mask(poly.mask) == poly
     assert str(poly) == "x^6 + x + 1"
     assert str(FieldPoly.from_mask(0b111)) == "x^2 + x + 1"
-
-
-def test_field_element_validation():
-    with pytest.raises(ValueError):
-        FieldElement(())
-    with pytest.raises(ValueError):
-        FieldElement((0, 2))
-    e = FieldElement.from_mask(0b101, 4)
-    assert e.coords == (1, 0, 1, 0)
-    assert e.p == 4 and e.mask == 0b101
 
 
 def test_default_primitive_range():

@@ -1,19 +1,20 @@
 """Spread constructions: the printed 9-column table, counts, and verification."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from rdcss.geometry import Effect, Subspace, span
+from rdcss.geometry import Effect, span
 from rdcss.gf2 import FieldPoly
 from rdcss.spreads import (
     Spread,
     cyclic_spread,
     mixed_spread,
     partial_spread,
-    sub_subspace,
     verify_spread,
 )
 
-from oracles import all_subspaces_brute
+from oracles import all_subspaces_brute, greedy_basis
 
 # The reference 2-spread of PG(5, 2) over x^6 + x + 1: column j holds the
 # powers w^j, w^(9+j), w^(18+j), ... so consecutive powers walk the columns.
@@ -33,8 +34,34 @@ def test_cyclic_spread_matches_reference_table(table2_spread):
     assert spread.kind == "full"
     assert len(spread.members) == 9
     assert spread.cycle_table is not None
-    got = [[e.word for e in col] for col in zip(*spread.cycle_table)]
+    got = [[Effect(m, 6).word for m in col] for col in zip(*spread.cycle_table)]
     assert got == TABLE_P6_T3
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: cyclic_spread(6, 3),
+        lambda: cyclic_spread(8, 4),
+        lambda: partial_spread(8, 3),
+        lambda: partial_spread(11, 4),
+        lambda: mixed_spread(7, 4),
+        lambda: mixed_spread(9, 5),
+    ],
+)
+def test_member_basis_is_greedy_basis_of_sorted_points(build):
+    # Members are built from t basis masks alone; their points come later.
+    spread = build()
+    assert all("point_masks" not in vars(m) for m in spread.members)
+    for member in spread.members:
+        # The written basis format: greedy over the points in ascending order.
+        assert list(member.basis) == greedy_basis(sorted(member.point_masks))
+        assert len(member.point_masks) == (1 << member.dim) - 1
+    firsts = [min(m.point_masks) for m in spread.members]
+    if spread.kind == "mixed":
+        firsts = firsts[1:]
+    if spread.kind != "full":
+        assert firsts == sorted(firsts)
 
 
 def test_cyclic_spread_is_a_partition(table2_spread):
@@ -130,23 +157,8 @@ def test_verify_spread_flags_overlap_and_closure():
     assert check.disjoint_violations == ((0, 1, "AB"),)
     assert not check.full_partition
 
-    # A fabricated member that is not XOR-closed.
-    broken = Subspace(
-        p=4,
-        basis=(Effect(1, 4), Effect(2, 4)),
-        points=(Effect(1, 4), Effect(2, 4), Effect(8, 4)),
-    )
+    # A fabricated member that is not XOR-closed; a Subspace always is.
+    broken = SimpleNamespace(point_masks=frozenset({1, 2, 8}))
     check = verify_spread(Spread(p=4, members=(broken,), kind="partial"))
     assert not check.ok
     assert ("A*B" in {v[1] for v in check.closure_violations})
-
-
-def test_sub_subspace_takes_basis_prefix():
-    member = span([Effect(1, 5), Effect(2, 5), Effect(4, 5)])
-    small = sub_subspace(member, 2)
-    assert small.dim == 2
-    assert small.point_masks == frozenset({1, 2, 3})
-    with pytest.raises(ValueError, match="dim must be"):
-        sub_subspace(member, 0)
-    with pytest.raises(ValueError, match="dim must be"):
-        sub_subspace(member, 4)
