@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -22,12 +24,13 @@ import numpy as np
 from . import bitlin
 from . import collineation as coll
 from . import existence, fractional, spreads
-from .geometry import LETTERS, Effect, Subspace, intersect, parse_effect, span
+from .geometry import LETTERS, Effect, Subspace, intersect, mask_word, parse_effect, span
 from .gf2 import FieldPoly
 from .randomization import (
     Design,
     VarianceSpec,
     check_lemma1,
+    check_orthogonal,
     halfnormal_emit,
     simulate,
     variance_groups,
@@ -76,38 +79,43 @@ def _parse_poly(text: str | None, p: int) -> FieldPoly | None:
     return poly
 
 
-class CliStage:
+def _parse_stage(text: str, p: int) -> coll.StageRequirement:
     """One --stage flag: required effect words plus options after a colon."""
-
-    def __init__(self, text: str, p: int):
-        words_part, _, opts_part = text.partition(":")
-        words = [w.strip() for w in words_part.split(",") if w.strip()]
-        if not words:
-            raise ValueError(f"stage {text!r} names no effects")
-        self.text = text
-        self.effects = tuple(parse_effect(w, p) for w in words)
-        self.exact = False
-        self.min_dim: int | None = None
-        if opts_part:
-            for opt in opts_part.split(","):
-                opt = opt.strip()
-                if opt == "exact":
-                    self.exact = True
-                elif opt.startswith("min="):
-                    self.min_dim = int(opt[4:])
-                else:
-                    raise ValueError(f"unknown stage option {opt!r} in {text!r}")
-
-
-def _stage_requirement(stage: CliStage) -> coll.StageRequirement:
+    words_part, _, opts_part = text.partition(":")
+    words = [w.strip() for w in words_part.split(",") if w.strip()]
+    if not words:
+        raise ValueError(f"stage {text!r} names no effects")
+    exact = False
+    min_dim: int | None = None
+    if opts_part:
+        for opt in opts_part.split(","):
+            opt = opt.strip()
+            if opt == "exact":
+                exact = True
+            elif opt.startswith("min="):
+                min_dim = int(opt[4:])
+            else:
+                raise ValueError(f"unknown stage option {opt!r} in {text!r}")
     return coll.StageRequirement(
-        required_effects=stage.effects, min_dim=stage.min_dim, exact=stage.exact
+        required_effects=tuple(parse_effect(w, p) for w in words),
+        min_dim=min_dim,
+        exact=exact,
     )
 
 
-def _required_rank(stage: CliStage) -> int:
-    rk = bitlin.rank([e.bits for e in stage.effects])
+def _required_rank(stage: coll.StageRequirement) -> int:
+    rk = bitlin.rank([e.bits for e in stage.required_effects])
     return max(rk, stage.min_dim or 0)
+
+
+def _refuse_overlap(p: int, dims: list[int], force_try: bool) -> None:
+    oracle = existence.feasibility_report(p, tuple(dims))
+    if oracle.verdict == "exists-with-overlap" and not force_try:
+        raise Infeasible(
+            "existence rules prove the stages cannot be disjoint: "
+            + "; ".join(oracle.rules)
+            + " (pass --try to search anyway)"
+        )
 
 
 def _build_spread(
@@ -145,7 +153,11 @@ def _search(
     spread: spreads.Spread,
     requirements: list[coll.StageRequirement],
     budget: int | None,
-) -> coll.SearchResult:
+) -> tuple[coll.SearchResult, spreads.Spread]:
+    """Search, then return the result and the spread its collineation relabels.
+
+    An infeasible or budget-exhausted search raises the matching exit.
+    """
     result = coll.find_collineation(spread, requirements, max_candidates=budget)
     if result.status == "infeasible":
         raise Infeasible(
@@ -158,19 +170,23 @@ def _search(
             f"search budget of {result.candidates_tried} candidate assignments "
             "exhausted without a verdict; raise --budget"
         )
-    return result
+    return result, coll.apply_to_spread(result.collineation, spread)
 
 
 def _matrix_rows(m: coll.Collineation) -> list[list[int]]:
     return [[(row >> j) & 1 for j in range(m.p)] for row in m.rows]
 
 
-def _words(masks: Iterable[int], p: int) -> list[str]:
-    return [Effect(m, p).word for m in masks]
+def _words(masks: Iterable[int]) -> list[str]:
+    return [mask_word(m) for m in masks]
 
 
 def _point_words(sub: Subspace) -> list[str]:
-    return [e.word for e in sub.points]
+    return _words(sorted(sub.point_masks))
+
+
+def _member_words(spread: spreads.Spread) -> list[list[str]]:
+    return [_point_words(mem) for mem in spread.members]
 
 
 # ---------------------------------------------------------------- exists
@@ -200,9 +216,9 @@ def _spread_grid(spread: spreads.Spread) -> str:
     """Tab-separated member-per-column grid, cyclic columns in field order."""
     header = "\t".join(f"S_{i + 1}" for i in range(len(spread.members)))
     if spread.cycle_table is not None:
-        columns = [_words(col, spread.p) for col in spread.cycle_table]
+        columns = [_words(col) for col in spread.cycle_table]
     else:
-        columns = [_point_words(mem) for mem in spread.members]
+        columns = _member_words(spread)
     depth = max(len(col) for col in columns)
     lines = [header]
     for row in range(depth):
@@ -223,12 +239,12 @@ def cmd_spread(args: argparse.Namespace) -> int:
 
 
 def _fraction_stage_split(
-    stage: CliStage, u: int
+    stage: coll.StageRequirement, u: int
 ) -> tuple[tuple[Effect, ...], list[int]]:
     """Split a stage over r factors into basic-effect words and added letters."""
     basic: list[Effect] = []
     added: list[int] = []
-    for e in stage.effects:
+    for e in stage.required_effects:
         if e.bits < (1 << u):
             basic.append(Effect(e.bits, u))
         elif e.order == 1:
@@ -256,21 +272,12 @@ def _spare_member(
     )
 
 
-def _construct_full(args, stages_cli: list[CliStage], seed: int):
+def _construct_full(args, stages_cli: list[coll.StageRequirement], seed: int):
     p = args.p
     dims = [args.t if args.t else _required_rank(s) for s in stages_cli]
-    if args.t:
-        dims = [max(d, args.t) for d in dims]
-    oracle = existence.feasibility_report(p, tuple(dims))
-    if oracle.verdict == "exists-with-overlap" and not args.force_try:
-        raise Infeasible(
-            "existence rules prove the stages cannot be disjoint: "
-            + "; ".join(oracle.rules)
-            + " (pass --try to search anyway)"
-        )
+    _refuse_overlap(p, dims, args.force_try)
     spread = _build_spread(p, args.t, dims, _parse_poly(args.poly, p))
-    result = _search(spread, [_stage_requirement(s) for s in stages_cli], args.budget)
-    transformed = coll.apply_to_spread(result.collineation, spread)
+    result, transformed = _search(spread, stages_cli, args.budget)
     stage_subspaces = [transformed.members[j] for j in result.stage_members]
     design = Design(p=p, stages=tuple(stage_subspaces))
     payload = {
@@ -283,10 +290,10 @@ def _construct_full(args, stages_cli: list[CliStage], seed: int):
         "stages": [
             {
                 "name": f"S_{i + 1}",
-                "required": [e.word for e in s.effects],
+                "required": [e.word for e in s.required_effects],
                 "exact": s.exact,
                 "member_index": result.stage_members[i],
-                "basis": _words(sub.basis, p),
+                "basis": _words(sub.basis),
                 "points": _point_words(sub),
             }
             for i, (s, sub) in enumerate(zip(stages_cli, stage_subspaces))
@@ -294,9 +301,7 @@ def _construct_full(args, stages_cli: list[CliStage], seed: int):
         "collineation": _matrix_rows(result.collineation),
         "spread": {
             "kind": transformed.kind,
-            "members": [
-                _point_words(mem) for mem in transformed.members
-            ],
+            "members": _member_words(transformed),
         },
         "fraction": None,
     }
@@ -310,7 +315,7 @@ def _construct_fraction(args, seed: int):
         raise ValueError("fraction construction needs --basic or --s with --factors")
     if args.t is None:
         raise ValueError("fraction construction needs --t for the base spread")
-    stages_cli = [CliStage(text, r) for text in args.stage]
+    stages_cli = [_parse_stage(text, r) for text in args.stage]
     splits = [_fraction_stage_split(s, u) for s in stages_cli]
 
     letter_stage: dict[int, int] = {}
@@ -326,28 +331,15 @@ def _construct_fraction(args, seed: int):
     req_stage_idx = []
     for i, (basic, added) in enumerate(splits):
         if basic:
-            base_reqs.append(
-                coll.StageRequirement(
-                    required_effects=basic,
-                    min_dim=stages_cli[i].min_dim,
-                    exact=stages_cli[i].exact,
-                )
-            )
+            base_reqs.append(dataclasses.replace(stages_cli[i], required_effects=basic))
             req_stage_idx.append(i)
 
     dims = [args.t] * len(stages_cli)
-    oracle = existence.feasibility_report(u, tuple(dims))
-    if oracle.verdict == "exists-with-overlap" and not args.force_try:
-        raise Infeasible(
-            "existence rules prove the stages cannot be disjoint: "
-            + "; ".join(oracle.rules)
-            + " (pass --try to search anyway)"
-        )
+    _refuse_overlap(u, dims, args.force_try)
     spread = _build_spread(u, args.t, dims, _parse_poly(args.poly, u))
     if base_reqs:
-        result = _search(spread, base_reqs, args.budget)
+        result, transformed = _search(spread, base_reqs, args.budget)
         matrix = result.collineation
-        transformed = coll.apply_to_spread(matrix, spread)
         member_for_stage = dict(zip(req_stage_idx, result.stage_members))
     else:
         matrix = coll.Collineation.identity(u)
@@ -385,12 +377,12 @@ def _construct_fraction(args, seed: int):
         "stages": [
             {
                 "name": f"S_{i + 1}",
-                "required": [e.word for e in stages_cli[i].effects],
+                "required": [e.word for e in stages_cli[i].required_effects],
                 "exact": stages_cli[i].exact,
                 "member_index": member_for_stage[i],
-                "basis": _words(base_design.stages[i].basis, u),
+                "basis": _words(base_design.stages[i].basis),
                 "points": _point_words(base_design.stages[i]),
-                "lifted_basis": _words(fraction.stages[i].basis, r),
+                "lifted_basis": _words(fraction.stages[i].basis),
                 "lifted_points": _point_words(fraction.stages[i]),
             }
             for i in range(len(stages_cli))
@@ -398,9 +390,7 @@ def _construct_fraction(args, seed: int):
         "collineation": _matrix_rows(matrix),
         "spread": {
             "kind": transformed.kind,
-            "members": [
-                _point_words(mem) for mem in transformed.members
-            ],
+            "members": _member_words(transformed),
         },
         "fraction": fractional.fraction_spec_to_dict(spec),
     }
@@ -417,6 +407,10 @@ def load_design(path: str | Path):
         if payload["schema"] != 1:
             raise ValueError(f"unsupported design schema {payload['schema']!r}")
         base_p = payload["base_p"] if payload["kind"] == "fraction" else payload["p"]
+        if base_p > MAX_CONSTRUCT_P:
+            raise ValueError(
+                f"design files are limited to base p <= {MAX_CONSTRUCT_P}, got {base_p}"
+            )
         stages = tuple(
             span(tuple(parse_effect(w, base_p) for w in st["basis"]))
             for st in payload["stages"]
@@ -439,12 +433,9 @@ def verification_payload(
     """Recomputable verification report for a constructed design."""
     p_total = payload["p"]
     stages = fraction.stages if fraction is not None else design.stages
-    m = len(stages)
-    disjoint = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            if intersect(design.stages[i], design.stages[j]) is not None:
-                disjoint = False
+    disjoint = all(
+        intersect(a, b) is None for a, b in combinations(design.stages, 2)
+    )
     met = []
     for st, sub in zip(payload["stages"], stages):
         words = [parse_effect(w, p_total) for w in st["required"]]
@@ -452,11 +443,6 @@ def verification_payload(
         if st["exact"] and fraction is None:
             ok = ok and span(tuple(words)).point_masks == sub.point_masks
         met.append(ok)
-    # float32 keeps the +-1 sums exact (n <= 2^12 < 2^24) and stays on BLAS.
-    xf = design.model_matrix.astype(np.float32)
-    orthogonal = bool(
-        np.array_equal(xf.T @ xf, design.n * np.eye(design.n, dtype=np.float32))
-    )
     report = {
         "schema": 1,
         "runs": payload["runs"],
@@ -464,7 +450,7 @@ def verification_payload(
         "pairwise_disjoint": disjoint,
         "requirements_met": met,
         "lemma1": check_lemma1(design),
-        "model_orthogonal": orthogonal,
+        "model_orthogonal": check_orthogonal(design),
         "defining_words_satisfied": None,
         "resolution": None,
         "stage_factor_sets": None,
@@ -488,11 +474,8 @@ def _write_runs_csv(path: Path, matrix: np.ndarray, letters: str, coding: str) -
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(letters))
-        for row in matrix:
-            if coding == "pm1":
-                writer.writerow([1 - 2 * int(v) for v in row])
-            else:
-                writer.writerow([int(v) for v in row])
+        levels = matrix.astype(np.int64)
+        writer.writerows((1 - 2 * levels if coding == "pm1" else levels).tolist())
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
@@ -508,7 +491,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"run-matrix export is limited to p <= {MAX_CONSTRUCT_P}"
             )
-        stages_cli = [CliStage(text, args.p) for text in args.stage]
+        stages_cli = [_parse_stage(text, args.p) for text in args.stage]
         if not stages_cli:
             raise ValueError("construct needs at least one --stage")
         design, fraction, payload = _construct_full(args, stages_cli, seed)
@@ -532,13 +515,12 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 def cmd_transform(args: argparse.Namespace) -> int:
     p = args.p
-    stages_cli = [CliStage(text, p) for text in args.stage]
+    stages_cli = [_parse_stage(text, p) for text in args.stage]
     if not stages_cli:
         raise ValueError("transform needs at least one --stage")
     dims = [args.t if args.t else _required_rank(s) for s in stages_cli]
     spread = _build_spread(p, args.t, dims, _parse_poly(args.poly, p))
-    result = _search(spread, [_stage_requirement(s) for s in stages_cli], args.budget)
-    transformed = coll.apply_to_spread(result.collineation, spread)
+    result, transformed = _search(spread, stages_cli, args.budget)
     print(
         json.dumps(
             {
@@ -546,9 +528,7 @@ def cmd_transform(args: argparse.Namespace) -> int:
                 "candidates_tried": result.candidates_tried,
                 "collineation": _matrix_rows(result.collineation),
                 "stage_members": [j + 1 for j in result.stage_members],
-                "members": [
-                    _point_words(mem) for mem in transformed.members
-                ],
+                "members": _member_words(transformed),
             },
             indent=2,
         )
@@ -579,7 +559,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    header = ["I"] + [Effect(b, design.p).word for b in range(1, design.n)]
+    header = ["I"] + _words(range(1, design.n))
     with (out / "estimates.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)

@@ -29,6 +29,11 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWX"
 MAX_FACTORS = len(LETTERS)
 
 
+def mask_word(bits: int) -> str:
+    """Factor word of an effect mask: bit j contributes letter j, e.g. 0b1101 -> ACD."""
+    return "".join([LETTERS[j] for j in range(bits.bit_length()) if bits >> j & 1])
+
+
 @dataclass(frozen=True, order=True)
 class Effect:
     """One factorial effect, i.e. one point of PG(p-1, 2)."""
@@ -48,7 +53,7 @@ class Effect:
 
     @property
     def word(self) -> str:
-        return "".join(LETTERS[j] for j in range(self.p) if (self.bits >> j) & 1)
+        return mask_word(self.bits)
 
     @property
     def order(self) -> int:

@@ -10,7 +10,7 @@ per variance group necessary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from statistics import NormalDist
 
 import numpy as np
@@ -24,12 +24,11 @@ __all__ = [
     "VarianceReport",
     "HalfNormalRow",
     "batch_indices",
-    "incidence_matrix",
     "check_lemma1",
+    "check_orthogonal",
     "effect_variance",
     "variance_groups",
     "simulate",
-    "check_gls_equals_ols",
     "halfnormal_emit",
 ]
 
@@ -58,15 +57,26 @@ class Design:
         runs = np.arange(self.n, dtype=np.int64)
         return ((runs[:, None] >> np.arange(self.p)[None, :]) & 1).astype(np.uint8)
 
-    @cached_property
-    def model_matrix(self) -> np.ndarray:
-        """n x n matrix of +-1 contrasts; column c is the effect with mask c.
 
-        Level 0 recodes to +1 and level 1 to -1, so entry (r, c) is
-        (-1)^popcount(r & c); column 0 is the all-ones mean column.
-        """
-        h = np.array([[1, 1], [1, -1]], dtype=np.int8)
-        return reduce(np.kron, [h] * self.p, np.ones((1, 1), dtype=np.int8))
+def _walsh_hadamard(values) -> np.ndarray:
+    """X'v along the last axis, X the n x n model matrix of +-1 contrasts.
+
+    Level 0 recodes to +1 and level 1 to -1, so X[r, c] = (-1)^popcount(r & c):
+    column c is the effect with mask c and column 0 the all-ones mean column.
+    X is the Sylvester-Hadamard matrix, so X'v takes p butterfly passes over a
+    copy of v; integer input gives exact results.
+    """
+    out = np.array(values)
+    n = out.shape[-1]
+    h = 1
+    while h < n:
+        pairs = out.reshape(*out.shape[:-1], n // (2 * h), 2, h)
+        top, bottom = pairs[..., 0, :], pairs[..., 1, :]
+        first = top.copy()
+        top += bottom
+        np.subtract(first, bottom, out=bottom)
+        h *= 2
+    return out
 
 
 def batch_indices(design: Design, stage: int) -> np.ndarray:
@@ -83,23 +93,29 @@ def batch_indices(design: Design, stage: int) -> np.ndarray:
     return idx
 
 
-def incidence_matrix(design: Design, stage: int) -> np.ndarray:
-    """n x 2^t 0/1 matrix assigning each run to its batch at the stage."""
-    t = design.stages[stage].dim
-    idx = batch_indices(design, stage)
-    out = np.zeros((design.n, 1 << t), dtype=np.uint8)
-    out[np.arange(design.n), idx] = 1
-    return out
-
-
 def check_lemma1(design: Design) -> bool:
-    """True iff N_i' N_i = 2^(p - t_i) I holds exactly at every stage."""
+    """True iff N_i' N_i = 2^(p - t_i) I holds exactly at every stage.
+
+    N_i' N_i is diagonal with the batch sizes on it, so the identity says
+    that every batch of stage i holds 2^(p - t_i) runs.
+    """
     for i, sub in enumerate(design.stages):
-        inc = incidence_matrix(design, i).astype(np.int64)
-        expected = (1 << (design.p - sub.dim)) * np.eye(1 << sub.dim, dtype=np.int64)
-        if not np.array_equal(inc.T @ inc, expected):
+        sizes = np.bincount(batch_indices(design, i), minlength=1 << sub.dim)
+        if not np.all(sizes == 1 << (design.p - sub.dim)):
             return False
     return True
+
+
+def check_orthogonal(design: Design) -> bool:
+    """True iff the model matrix of the run matrix satisfies X'X = n I.
+
+    X'X[c, c'] depends only on d = c ^ c': it is the transform at d of the
+    histogram h of the runs packed as masks, so X'X = n I iff that transform
+    is n at 0 and 0 elsewhere.
+    """
+    runs = design.run_matrix.astype(np.int64) @ (1 << np.arange(design.p))
+    gram = _walsh_hadamard(np.bincount(runs, minlength=design.n))
+    return bool(gram[0] == design.n and not gram[1:].any())
 
 
 @dataclass(frozen=True)
@@ -126,16 +142,20 @@ def _membership(design: Design, bits: int) -> tuple[int, ...]:
     return tuple(i for i, s in enumerate(design.stages) if bits in s.point_masks)
 
 
+def _variance(design: Design, spec: VarianceSpec, t_e: tuple[int, ...]) -> float:
+    n = design.n
+    var = spec.sigma2 / n
+    for i in t_e:
+        var += ((1 << (design.p - design.stages[i].dim)) / n) * spec.stage_variances[i]
+    return var
+
+
 def effect_variance(effect: Effect, design: Design, spec: VarianceSpec) -> float:
     """Var of the effect estimator: sigma2/n plus (n_i/n) sigma_i^2 over T_E."""
     _check_spec(design, spec)
     if effect.p != design.p:
         raise ValueError("effect width does not match design")
-    n = design.n
-    var = spec.sigma2 / n
-    for i in _membership(design, effect.bits):
-        var += ((1 << (design.p - design.stages[i].dim)) / n) * spec.stage_variances[i]
-    return var
+    return _variance(design, spec, _membership(design, effect.bits))
 
 
 @dataclass(frozen=True)
@@ -159,7 +179,6 @@ class VarianceReport:
     """Partition of the 2^p - 1 effects by stage membership."""
 
     groups: tuple[VarianceGroup, ...]
-    entries: tuple[tuple[Effect, tuple[int, ...], float | None], ...]
     notes: tuple[str, ...]
 
 
@@ -173,13 +192,8 @@ def variance_groups(design: Design, spec: VarianceSpec | None = None) -> Varianc
     if spec is not None:
         _check_spec(design, spec)
     by_t: dict[tuple[int, ...], list[Effect]] = {}
-    entries = []
     for bits in range(1, design.n):
-        e = Effect(bits, design.p)
-        t_e = _membership(design, bits)
-        by_t.setdefault(t_e, []).append(e)
-        var = effect_variance(e, design, spec) if spec is not None else None
-        entries.append((e, t_e, var))
+        by_t.setdefault(_membership(design, bits), []).append(Effect(bits, design.p))
     groups = []
     for t_e in sorted(by_t, key=lambda t: (t == (), len(t), t)):
         effects = tuple(by_t[t_e])
@@ -191,9 +205,7 @@ def variance_groups(design: Design, spec: VarianceSpec | None = None) -> Varianc
                 "overlap: variance sums several stage components; "
                 "significance assessment lacks a clean reference group"
             )
-        var = (
-            effect_variance(effects[0], design, spec) if spec is not None else None
-        )
+        var = _variance(design, spec, t_e) if spec is not None else None
         groups.append(
             VarianceGroup(
                 stage_indices=t_e, effects=effects, variance=var, flags=tuple(flags)
@@ -208,9 +220,7 @@ def variance_groups(design: Design, spec: VarianceSpec | None = None) -> Varianc
                     f"stages {i + 1} and {j + 1} use the same subspace; "
                     "their variance components add"
                 )
-    return VarianceReport(
-        groups=tuple(groups), entries=tuple(entries), notes=tuple(notes)
-    )
+    return VarianceReport(groups=tuple(groups), notes=tuple(notes))
 
 
 def simulate(
@@ -225,7 +235,7 @@ def simulate(
     Each rep draws Y = X beta + eps_0 + sum_i N_i eps_i and returns
     X'Y / n; row r of the result is rep r, column c the effect with mask c.
     Rep r uses the substream seeded by (seed, r), so results do not depend on
-    execution order.
+    execution order.  Both products with X are Walsh-Hadamard transforms.
     """
     _check_spec(design, spec)
     if reps < 1:
@@ -236,48 +246,16 @@ def simulate(
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (n,):
         raise ValueError(f"beta must have length n={n}")
-    x = design.model_matrix.astype(np.float64)
-    mean = x @ beta
+    mean = _walsh_hadamard(beta)
     batches = [batch_indices(design, i) for i in range(len(design.stages))]
-    out = np.empty((reps, n))
+    y = np.empty((reps, n))
     for rep in range(reps):
         rng = np.random.default_rng((seed, rep))
-        y = mean + rng.normal(0.0, np.sqrt(spec.sigma2), n)
+        y[rep] = mean + rng.normal(0.0, np.sqrt(spec.sigma2), n)
         for i, sub in enumerate(design.stages):
             eps = rng.normal(0.0, np.sqrt(spec.stage_variances[i]), 1 << sub.dim)
-            y = y + eps[batches[i]]
-        out[rep] = (x.T @ y) / n
-    return out
-
-
-def check_gls_equals_ols(
-    design: Design, spec: VarianceSpec, seed: int = 0, tol: float = 1e-9
-) -> bool:
-    """Verify the generalized and ordinary least squares estimators agree.
-
-    Small-n numerical oracle (n <= 64): builds the full error covariance,
-    solves the GLS normal equations on random responses and compares with
-    X'Y/n at relative tolerance tol.
-    """
-    _check_spec(design, spec)
-    if design.n > 64:
-        raise ValueError("GLS comparison is a small-n oracle; need n <= 64")
-    if spec.sigma2 <= 0:
-        raise ValueError("singular error covariance: sigma2 must be positive")
-    n = design.n
-    sigma = spec.sigma2 * np.eye(n)
-    for i, sub in enumerate(design.stages):
-        inc = incidence_matrix(design, i).astype(np.float64)
-        sigma += spec.stage_variances[i] * (inc @ inc.T)
-    x = design.model_matrix.astype(np.float64)
-    rng = np.random.default_rng(seed)
-    y = rng.normal(0.0, 1.0, n)
-    siginv_x = np.linalg.solve(sigma, x)
-    siginv_y = np.linalg.solve(sigma, y)
-    gls = np.linalg.solve(x.T @ siginv_x, x.T @ siginv_y)
-    ols = (x.T @ y) / n
-    scale = max(1.0, float(np.linalg.norm(ols)))
-    return float(np.linalg.norm(gls - ols)) / scale < tol
+            y[rep] += eps[batches[i]]
+    return _walsh_hadamard(y) / n
 
 
 @dataclass(frozen=True)

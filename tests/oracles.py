@@ -2,17 +2,23 @@
 
 Nothing here touches the package's packed-int code paths: polynomials are
 coefficient lists, spans come from enumerating XOR subsets, subspaces are
-found by brute force over point combinations, and a relabeling matrix comes
+found by brute force over point combinations, a relabeling matrix comes
 from the paper's formulation, a p^2-unknown linear system solved by Gaussian
-elimination.  Slow but transparently correct at the sizes under test.
+elimination, and the statistical layer is restated with the dense n x n
+model and incidence matrices.  Slow but transparently correct at the sizes
+under test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
+import numpy as np
+
 from rdcss.collineation import Collineation
+from rdcss.randomization import Design, VarianceSpec
 
 # ---------------------------------------------------------------- GF(2)[x]
 # Schoolbook polynomial arithmetic on coefficient lists, index k = x^k.
@@ -202,3 +208,98 @@ def collineation_from_solution(x: int, p: int) -> Collineation:
     """Unpack a solution vector into the p x p matrix it encodes."""
     mask = (1 << p) - 1
     return Collineation(p, tuple((x >> (i * p)) & mask for i in range(p)))
+
+
+# ---------------------------------------------------------------- dense statistics
+# The paper's matrices written out in full: X is the n x n model matrix, N_i
+# the n x 2^t_i run-to-batch incidence matrix of stage i.
+
+
+def model_matrix(design: Design) -> np.ndarray:
+    """n x n matrix of +-1 contrasts; column c is the effect with mask c.
+
+    Level 0 recodes to +1 and level 1 to -1, so entry (r, c) is
+    (-1)^popcount(r & c); column 0 is the all-ones mean column.
+    """
+    h = np.array([[1, 1], [1, -1]], dtype=np.int8)
+    return reduce(np.kron, [h] * design.p, np.ones((1, 1), dtype=np.int8))
+
+
+def incidence_matrix(design: Design, stage: int) -> np.ndarray:
+    """n x 2^t 0/1 matrix assigning each run to its batch at the stage.
+
+    Run r's batch label reads the parities of r & b_1, ..., r & b_t over the
+    stage basis, b_1 most significant.
+    """
+    basis = design.stages[stage].basis
+    out = np.zeros((design.n, 1 << len(basis)), dtype=np.uint8)
+    for r in range(design.n):
+        label = 0
+        for b in basis:
+            label = (label << 1) | (bin(r & b).count("1") & 1)
+        out[r, label] = 1
+    return out
+
+
+def lemma1_holds(design: Design) -> bool:
+    """N_i' N_i = 2^(p - t_i) I at every stage, by dense products."""
+    for i, sub in enumerate(design.stages):
+        inc = incidence_matrix(design, i).astype(np.int64)
+        expected = (1 << (design.p - sub.dim)) * np.eye(1 << sub.dim, dtype=np.int64)
+        if not np.array_equal(inc.T @ inc, expected):
+            return False
+    return True
+
+
+def simulate_dense(
+    design: Design, spec: VarianceSpec, beta=None, reps: int = 1, seed: int = 0
+) -> np.ndarray:
+    """Monte Carlo estimates X'Y/n with one dense matvec per rep.
+
+    Draws Y in the package's order: rep r from the substream (seed, r), the
+    replication errors first, then one error per batch of each stage.
+    """
+    n = design.n
+    x = model_matrix(design).astype(np.float64)
+    mean = x @ (np.zeros(n) if beta is None else np.asarray(beta, dtype=float))
+    incs = [incidence_matrix(design, i) for i in range(len(design.stages))]
+    out = np.empty((reps, n))
+    for rep in range(reps):
+        rng = np.random.default_rng((seed, rep))
+        y = mean + rng.normal(0.0, np.sqrt(spec.sigma2), n)
+        for i, sub in enumerate(design.stages):
+            eps = rng.normal(0.0, np.sqrt(spec.stage_variances[i]), 1 << sub.dim)
+            y = y + incs[i] @ eps
+        out[rep] = (x.T @ y) / n
+    return out
+
+
+def check_gls_equals_ols(
+    design: Design, spec: VarianceSpec, seed: int = 0, tol: float = 1e-9
+) -> bool:
+    """Verify the generalized and ordinary least squares estimators agree.
+
+    Small-n numerical oracle (n <= 64): builds the full error covariance,
+    solves the GLS normal equations on random responses and compares with
+    X'Y/n at relative tolerance tol.
+    """
+    if len(spec.stage_variances) != len(design.stages):
+        raise ValueError("spec needs one stage variance per stage")
+    if design.n > 64:
+        raise ValueError("GLS comparison is a small-n oracle; need n <= 64")
+    if spec.sigma2 <= 0:
+        raise ValueError("singular error covariance: sigma2 must be positive")
+    n = design.n
+    sigma = spec.sigma2 * np.eye(n)
+    for i in range(len(design.stages)):
+        inc = incidence_matrix(design, i).astype(np.float64)
+        sigma += spec.stage_variances[i] * (inc @ inc.T)
+    x = model_matrix(design).astype(np.float64)
+    rng = np.random.default_rng(seed)
+    y = rng.normal(0.0, 1.0, n)
+    siginv_x = np.linalg.solve(sigma, x)
+    siginv_y = np.linalg.solve(sigma, y)
+    gls = np.linalg.solve(x.T @ siginv_x, x.T @ siginv_y)
+    ols = (x.T @ y) / n
+    scale = max(1.0, float(np.linalg.norm(ols)))
+    return float(np.linalg.norm(gls - ols)) / scale < tol

@@ -38,14 +38,13 @@ from rdcss.geometry import Effect, intersect, parse_effect, span
 from rdcss.randomization import (
     Design,
     VarianceSpec,
-    check_gls_equals_ols,
     check_lemma1,
     effect_variance,
     simulate,
 )
 from rdcss.spreads import cyclic_spread, mixed_spread
 
-from oracles import all_subspaces_brute
+from oracles import all_subspaces_brute, check_gls_equals_ols
 from test_collineation import M6_PAIRS
 from test_spreads import TABLE_P6_T3
 

@@ -245,6 +245,16 @@ def test_construct_round_trip(example5_dir):
     )
 
 
+def test_verification_catches_repeated_run(example5_dir):
+    design, fraction, payload = load_design(example5_dir / "design.json")
+    runs = design.run_matrix.copy()
+    runs[5] = runs[9]
+    design.__dict__["run_matrix"] = runs
+    report = verification_payload(design, fraction, payload)
+    assert report["model_orthogonal"] is False
+    assert report["lemma1"] is True
+
+
 def test_construct_pm1_coding(tmp_path, capsys):
     rc = main(
         [
@@ -671,6 +681,23 @@ def test_simulate_malformed_design(tmp_path, capsys):
     bad.write_text(json.dumps({"schema": 9}))
     assert main(["simulate", "--design", str(bad), "--stage-var", "1"]) == 2
     assert "unsupported design schema" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"kind": "full", "p": 20}, {"kind": "fraction", "p": 22, "base_p": 20}],
+)
+def test_design_file_above_p_cap_is_invalid_input(tmp_path, capsys, fields):
+    # A 2^20-run design would need (reps, 2^20) arrays; it is refused on load.
+    big = tmp_path / "design.json"
+    big.write_text(
+        json.dumps({"schema": 1, **fields, "stages": [{"basis": ["A", "B"]}]})
+    )
+    assert main(["simulate", "--design", str(big), "--stage-var", "1"]) == 2
+    assert "limited to base p <= 12, got 20" in capsys.readouterr().err
+    spec = json.dumps({"factors": 8, "basic": 6, "generators": {"G": "ABCD", "H": "ABEF"}})
+    assert main(["fraction", "--spec", spec, "--design", str(big)]) == 2
+    assert "limited to base p <= 12, got 20" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- fraction

@@ -4,18 +4,26 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from rdcss.geometry import Effect, parse_effect, span
+from rdcss.geometry import Effect, Subspace, parse_effect, span
 from rdcss.randomization import (
     Design,
     VarianceSpec,
+    _walsh_hadamard,
     batch_indices,
-    check_gls_equals_ols,
     check_lemma1,
+    check_orthogonal,
     effect_variance,
     halfnormal_emit,
-    incidence_matrix,
     simulate,
     variance_groups,
+)
+
+from oracles import (
+    check_gls_equals_ols,
+    incidence_matrix,
+    lemma1_holds,
+    model_matrix,
+    simulate_dense,
 )
 
 
@@ -40,7 +48,7 @@ def test_run_matrix_encodes_bits(splitplot_design):
 
 
 def test_model_matrix_sign_oracle(splitplot_design):
-    x = splitplot_design.model_matrix
+    x = model_matrix(splitplot_design)
     n = splitplot_design.n
     assert x.shape == (n, n)
     assert np.all(x[:, 0] == 1)
@@ -53,9 +61,33 @@ def test_model_matrix_sign_oracle(splitplot_design):
 def test_model_matrix_columns_orthogonal(p):
     t = max(1, p - 1)
     design = Design(p=p, stages=(span([Effect(1 << j, p) for j in range(t)]),))
-    x = design.model_matrix.astype(np.float32)
-    gram = x.T @ x
-    assert np.array_equal(gram, design.n * np.eye(design.n, dtype=np.float32))
+    assert check_orthogonal(design)
+    if p <= 8:
+        x = model_matrix(design).astype(np.int64)
+        assert np.array_equal(x.T @ x, design.n * np.eye(design.n, dtype=np.int64))
+
+
+def _first_factors_design(p):
+    t = max(1, p // 2)
+    return Design(p=p, stages=(span([Effect(1 << j, p) for j in range(t)]),))
+
+
+@pytest.mark.parametrize("p", range(2, 9))
+def test_walsh_hadamard_matches_dense_product(p):
+    rng = np.random.default_rng(p)
+    x = model_matrix(_first_factors_design(p)).astype(np.int64)
+    ints = rng.integers(-1000, 1000, size=(3, 1 << p))
+    got = _walsh_hadamard(ints)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, ints @ x)
+    floats = rng.normal(size=1 << p)
+    assert np.max(np.abs(_walsh_hadamard(floats) - x.T @ floats)) < 1e-12
+
+
+def test_walsh_hadamard_leaves_its_input():
+    v = np.arange(8)
+    assert _walsh_hadamard(v).tolist() == [28, -4, -8, 0, -16, 0, 0, 0]
+    assert v.tolist() == list(range(8))
 
 
 def test_batch_indices_big_endian(splitplot_design):
@@ -84,7 +116,20 @@ def test_incidence_and_lemma1(two_stage_design):
     inc = incidence_matrix(two_stage_design, 1)
     assert inc.shape == (32, 8)
     assert np.all(inc.sum(axis=1) == 1)
+    assert np.array_equal(inc.argmax(axis=1), batch_indices(two_stage_design, 1))
     assert check_lemma1(two_stage_design)
+
+
+@pytest.mark.parametrize(
+    "basis, holds",
+    [((0b011, 0b101), True), ((0b1100, 0b0001), True), ((0b011, 0b011), False)],
+)
+def test_check_lemma1_agrees_with_incidence_oracle(basis, holds):
+    # A repeated basis mask (built past span's check) leaves batches empty.
+    p = 4
+    design = Design(p=p, stages=(Subspace(p=p, basis=basis), span([Effect(8, p)])))
+    assert check_lemma1(design) is holds
+    assert lemma1_holds(design) is holds
 
 
 def test_variance_spec_validation(splitplot_design):
@@ -157,18 +202,17 @@ def test_variance_groups_overlap_flag_and_notes():
 def test_variance_groups_without_spec(two_stage_design):
     report = variance_groups(two_stage_design)
     assert all(g.variance is None for g in report.groups)
-    assert all(var is None for _, _, var in report.entries)
 
 
-def test_entries_cover_all_effects(two_stage_design):
-    report = variance_groups(two_stage_design, VarianceSpec(1.0, (1.0, 1.0)))
-    assert len(report.entries) == 31
-    for effect, t_e, var in report.entries:
-        assert var == pytest.approx(
-            effect_variance(effect, two_stage_design, VarianceSpec(1.0, (1.0, 1.0)))
-        )
-        for i in t_e:
-            assert two_stage_design.stages[i].contains(effect)
+def test_group_variance_is_each_effect_variance(two_stage_design):
+    spec = VarianceSpec(1.0, (2.0, 3.0))
+    report = variance_groups(two_stage_design, spec)
+    assert sum(len(g.effects) for g in report.groups) == 31
+    for group in report.groups:
+        for effect in group.effects:
+            assert effect_variance(effect, two_stage_design, spec) == group.variance
+            for i, sub in enumerate(two_stage_design.stages):
+                assert sub.contains(effect) is (i in group.stage_indices)
 
 
 def test_simulate_is_deterministic(splitplot_design):
@@ -210,6 +254,16 @@ def test_simulate_beta_injection(splitplot_design):
     draws = simulate(splitplot_design, spec, beta=beta, reps=1, seed=0)
     # Noise-free run returns beta exactly (orthogonality of the contrasts).
     assert np.allclose(draws[0], beta)
+
+
+@pytest.mark.parametrize("p", [3, 5, 8])
+def test_simulate_matches_dense_oracle(p):
+    design = _first_factors_design(p)
+    spec = VarianceSpec(0.7, (2.5,))
+    beta = np.random.default_rng(p).normal(size=design.n)
+    got = simulate(design, spec, beta=beta, reps=4, seed=9)
+    want = simulate_dense(design, spec, beta=beta, reps=4, seed=9)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_simulate_validation(splitplot_design):
