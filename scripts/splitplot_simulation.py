@@ -50,7 +50,7 @@ def main(argv=None):
         # The substream seeding makes shorter sweeps prefixes of longer ones.
         sweeps[reps] = simulate(design, spec, reps=reps, seed=args.seed)
     for group in report.groups:
-        cols = [e.bits for e in group.effects]
+        cols = list(group.masks)
         row = [group.label, str(len(cols)), f"{group.variance:.6f}"]
         for reps in args.reps:
             emp = float(

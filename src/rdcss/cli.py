@@ -313,6 +313,11 @@ def _construct_fraction(args, seed: int):
     u = args.basic if args.basic is not None else (r - args.s if args.s else None)
     if u is None:
         raise ValueError("fraction construction needs --basic or --s with --factors")
+    if not 2 <= u < r <= len(LETTERS):
+        raise ValueError(
+            f"fraction construction needs 2 <= basic < factors <= {len(LETTERS)}, "
+            f"got basic={u}, factors={r}"
+        )
     if args.t is None:
         raise ValueError("fraction construction needs --t for the base spread")
     stages_cli = [_parse_stage(text, r) for text in args.stage]
@@ -456,11 +461,10 @@ def verification_payload(
         "stage_factor_sets": None,
     }
     if fraction is not None:
-        words = fraction.subgroup.masks()
         satisfied = all(
             (run & w).bit_count() % 2 == 0
             for run in fraction.run_masks
-            for w in words
+            for w in fraction.subgroup.words
         )
         report["defining_words_satisfied"] = satisfied
         report["resolution"] = fraction.subgroup.resolution
@@ -560,23 +564,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     header = ["I"] + _words(range(1, design.n))
+    # Same bytes as csv.writer: CRLF line ends, and no number or word needs quoting.
     with (out / "estimates.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in estimates:
-            writer.writerow([f"{v:.10g}" for v in row])
+        np.savetxt(
+            fh,
+            estimates,
+            fmt="%.10g",
+            delimiter=",",
+            newline="\r\n",
+            header=",".join(header),
+            comments="",
+        )
     with (out / "halfnormal.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["group", "effect", "abs_estimate", "quantile"])
-        for row in halfnormal_emit(estimates[0], report):
-            writer.writerow(
-                [row.group, row.effect, f"{row.abs_estimate:.10g}", f"{row.quantile:.10g}"]
-            )
+        writer.writerows(
+            [row.group, row.effect, f"{row.abs_estimate:.10g}", f"{row.quantile:.10g}"]
+            for row in halfnormal_emit(estimates[0], report)
+        )
     groups_json = []
     for group in report.groups:
-        cols = [e.bits for e in group.effects]
         empirical = (
-            float(np.mean(np.var(estimates[:, cols], axis=0, ddof=1)))
+            float(np.mean(np.var(estimates[:, group.masks], axis=0, ddof=1)))
             if args.reps > 1
             else None
         )
@@ -584,7 +593,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             {
                 "group": group.label,
                 "stages": [i + 1 for i in group.stage_indices],
-                "size": len(group.effects),
+                "size": len(group.masks),
                 "theoretical_variance": group.variance,
                 "empirical_variance": empirical,
                 "flags": list(group.flags),
@@ -627,7 +636,7 @@ def cmd_fraction(args: argparse.Namespace) -> int:
     out = {
         "factors": spec.factors,
         "basic": spec.basic,
-        "words": [w.word for w in subgroup.words],
+        "words": _words(subgroup.words),
         "wlp": list(subgroup.wlp),
         "resolution": subgroup.resolution,
         "clear_mains": list(clear.clear_mains),

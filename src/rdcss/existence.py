@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .geometry import Effect, Subspace, span
+from .geometry import Subspace
 
 __all__ = [
     "ExistenceReport",
@@ -99,8 +99,8 @@ def overlap_witness(p: int, t1: int, t2: int) -> tuple[Subspace, Subspace]:
     """
     _check_dim(p, t1)
     _check_dim(p, t2)
-    s1 = span(tuple(Effect(1 << j, p) for j in range(t1)))
-    s2 = span(tuple(Effect(1 << j, p) for j in range(p - t2, p)))
+    s1 = Subspace(p=p, basis=tuple(1 << j for j in range(t1)))
+    s2 = Subspace(p=p, basis=tuple(1 << j for j in range(p - t2, p)))
     return s1, s2
 
 

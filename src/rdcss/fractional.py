@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import LETTERS, Effect, Subspace, parse_effect
+from .geometry import LETTERS, Effect, Subspace, mask_word, parse_effect
 from .randomization import Design
 
 __all__ = [
@@ -100,56 +100,40 @@ class FractionSpec:
     def runs(self) -> int:
         return 1 << self.basic
 
-    def defining_words(self) -> tuple[Effect, ...]:
-        """The s generating words: alias times the added factor's own letter."""
+    def defining_words(self) -> tuple[int, ...]:
+        """Masks of the s generating words: alias times the added factor's letter."""
         u = self.basic
         return tuple(
-            Effect(gen.alias.bits | (1 << (u + j)), self.factors)
-            for j, gen in enumerate(self.generators)
+            gen.alias.bits | (1 << (u + j)) for j, gen in enumerate(self.generators)
         )
 
 
 @dataclass(frozen=True)
 class DefiningSubgroup:
-    """All 2^s - 1 nonzero products of the generating words."""
+    """All 2^s - 1 nonzero products of the generating words, as ascending masks."""
 
     factors: int
-    words: tuple[Effect, ...]
+    words: tuple[int, ...]
 
     @property
     def wlp(self) -> tuple[int, ...]:
         """Word length pattern: entry k-1 counts defining words of length k."""
         counts = [0] * self.factors
         for w in self.words:
-            counts[w.order - 1] += 1
+            counts[w.bit_count() - 1] += 1
         return tuple(counts)
 
     @property
     def resolution(self) -> int | None:
         """Shortest defining word length; None for the empty s=0 subgroup."""
-        if not self.words:
-            return None
-        return min(w.order for w in self.words)
-
-    def masks(self) -> frozenset[int]:
-        return frozenset(w.bits for w in self.words)
+        return min((w.bit_count() for w in self.words), default=None)
 
 
 def defining_subgroup(spec: FractionSpec) -> DefiningSubgroup:
-    base = [w.bits for w in spec.defining_words()]
-    words = set()
-    for size in range(1, len(base) + 1):
-        for combo in combinations(base, size):
-            m = 0
-            for b in combo:
-                m ^= b
-            words.add(m)
-    if len(words) != (1 << spec.s) - 1:
-        raise ValueError("generating words are not independent")
-    return DefiningSubgroup(
-        factors=spec.factors,
-        words=tuple(Effect(m, spec.factors) for m in sorted(words)),
-    )
+    # Each generating word holds its own added-factor bit, so the words are
+    # independent and span a subspace of 2^s - 1 nonzero words.
+    sub = Subspace(p=spec.factors, basis=spec.defining_words())
+    return DefiningSubgroup(factors=spec.factors, words=tuple(sorted(sub.point_masks)))
 
 
 @dataclass(frozen=True)
@@ -217,12 +201,10 @@ def build_fraction(base: Design, spec: FractionSpec) -> FractionalDesign:
             )
     subgroup = defining_subgroup(spec)
     words = spec.defining_words()
-    r = spec.factors
     # Base bases use only basic bits and each word holds its own added bit,
     # so the lifted generators are independent.
     stages = tuple(
-        Subspace(p=r, basis=(*sub.basis, *(w.bits for w in words)))
-        for sub in base.stages
+        Subspace(p=spec.factors, basis=(*sub.basis, *words)) for sub in base.stages
     )
     return FractionalDesign(base=base, spec=spec, stages=stages, subgroup=subgroup)
 
@@ -258,7 +240,7 @@ def clear_effects(subgroup: DefiningSubgroup) -> ClearReport:
     """An effect is clear when no alias partner is a main or two-factor
     interaction."""
     r = subgroup.factors
-    words = subgroup.masks()
+    words = subgroup.words
 
     def clear(bits: int) -> bool:
         return all((bits ^ w).bit_count() > 2 for w in words)
@@ -268,7 +250,7 @@ def clear_effects(subgroup: DefiningSubgroup) -> ClearReport:
     for a, b in combinations(range(r), 2):
         bits = (1 << a) | (1 << b)
         if clear(bits):
-            two_fis.append(Effect(bits, r).word)
+            two_fis.append(mask_word(bits))
     return ClearReport(clear_mains=tuple(mains), clear_two_fis=tuple(two_fis))
 
 
@@ -308,10 +290,9 @@ def rank_designs(
         )
 
     def key(rd: RankedDesign):
-        tie = tuple(sorted(w.bits for w in rd.subgroup.words))
         if criterion == "wlp-aberration":
-            return (rd.wlp, tie)
-        return (-rd.clear.count, rd.wlp, tie)
+            return (rd.wlp, rd.subgroup.words)
+        return (-rd.clear.count, rd.wlp, rd.subgroup.words)
 
     return tuple(sorted(ranked, key=key))
 
@@ -375,25 +356,27 @@ def parse_fraction_spec(data: str | dict) -> FractionSpec:
         factors = int(data["factors"])
         basic = int(data["basic"])
         raw = data["generators"]
+        if not isinstance(raw, dict):
+            raise ValueError("generators must map added letters to alias words")
+        gens = []
+        # Out-of-range counts give a short slice here and are refused by FractionSpec.
+        for letter in LETTERS[basic:factors]:
+            if letter not in raw:
+                raise ValueError(f"fraction spec has no generator for factor {letter!r}")
+            entry = raw[letter]
+            stage = None
+            if isinstance(entry, dict):
+                word = entry["alias"]
+                if entry.get("stage") is not None:
+                    stage = int(entry["stage"]) - 1
+            else:
+                word = entry
+            alias = parse_effect(str(word), basic)
+            gens.append(Generator(letter=letter, alias=alias, stage=stage))
     except KeyError as exc:
         raise ValueError(f"fraction spec is missing the {exc.args[0]!r} key") from None
-    if not isinstance(raw, dict):
-        raise ValueError("generators must map added letters to alias words")
-    gens = []
-    for j in range(factors - basic):
-        letter = LETTERS[basic + j]
-        if letter not in raw:
-            raise ValueError(f"fraction spec has no generator for factor {letter!r}")
-        entry = raw[letter]
-        stage = None
-        if isinstance(entry, dict):
-            word = entry["alias"]
-            if "stage" in entry and entry["stage"] is not None:
-                stage = int(entry["stage"]) - 1
-        else:
-            word = entry
-        alias = parse_effect(str(word), basic)
-        gens.append(Generator(letter=letter, alias=alias, stage=stage))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"malformed fraction spec: {exc}") from None
     extra = set(raw) - {g.letter for g in gens}
     if extra:
         raise ValueError(f"unexpected generator letters: {sorted(extra)}")

@@ -29,9 +29,22 @@ LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWX"
 MAX_FACTORS = len(LETTERS)
 
 
+def _word_table(letters: str) -> tuple[str, ...]:
+    """Words of all 2^k masks over k letters; entry m spells mask m."""
+    table = [""]
+    for ch in letters:
+        table += [w + ch for w in table]
+    return tuple(table)
+
+
+# Words of the low and high 12 bits; together they cover all 24 letters.
+_LOW_WORDS = _word_table(LETTERS[:12])
+_HIGH_WORDS = _word_table(LETTERS[12:])
+
+
 def mask_word(bits: int) -> str:
     """Factor word of an effect mask: bit j contributes letter j, e.g. 0b1101 -> ACD."""
-    return "".join([LETTERS[j] for j in range(bits.bit_length()) if bits >> j & 1])
+    return _LOW_WORDS[bits & 0xFFF] + _HIGH_WORDS[bits >> 12]
 
 
 @dataclass(frozen=True, order=True)
@@ -46,10 +59,6 @@ class Effect:
             raise ValueError(f"factor count must be 2..{MAX_FACTORS}")
         if not 0 < self.bits < (1 << self.p):
             raise ValueError("effect must be nonzero and within the factor range")
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> j) & 1 for j in range(self.p))
 
     @property
     def word(self) -> str:

@@ -15,7 +15,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import Effect, Subspace
+from .geometry import Effect, Subspace, mask_word
 
 __all__ = [
     "Design",
@@ -160,10 +160,10 @@ def effect_variance(effect: Effect, design: Design, spec: VarianceSpec) -> float
 
 @dataclass(frozen=True)
 class VarianceGroup:
-    """Effects sharing one stage-membership set, hence one estimator variance."""
+    """Ascending effect masks sharing one stage-membership set, hence one variance."""
 
     stage_indices: tuple[int, ...]
-    effects: tuple[Effect, ...]
+    masks: tuple[int, ...]
     variance: float | None
     flags: tuple[str, ...]
 
@@ -191,14 +191,14 @@ def variance_groups(design: Design, spec: VarianceSpec | None = None) -> Varianc
     """
     if spec is not None:
         _check_spec(design, spec)
-    by_t: dict[tuple[int, ...], list[Effect]] = {}
+    by_t: dict[tuple[int, ...], list[int]] = {}
     for bits in range(1, design.n):
-        by_t.setdefault(_membership(design, bits), []).append(Effect(bits, design.p))
+        by_t.setdefault(_membership(design, bits), []).append(bits)
     groups = []
     for t_e in sorted(by_t, key=lambda t: (t == (), len(t), t)):
-        effects = tuple(by_t[t_e])
+        masks = tuple(by_t[t_e])
         flags = []
-        if len(effects) < 7:
+        if len(masks) < 7:
             flags.append("small group: fewer than 7 effects for a half-normal plot")
         if len(t_e) >= 2:
             flags.append(
@@ -208,14 +208,14 @@ def variance_groups(design: Design, spec: VarianceSpec | None = None) -> Varianc
         var = _variance(design, spec, t_e) if spec is not None else None
         groups.append(
             VarianceGroup(
-                stage_indices=t_e, effects=effects, variance=var, flags=tuple(flags)
+                stage_indices=t_e, masks=masks, variance=var, flags=tuple(flags)
             )
         )
     notes = []
-    masks = [s.point_masks for s in design.stages]
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] == masks[j]:
+    points = [s.point_masks for s in design.stages]
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if points[i] == points[j]:
                 notes.append(
                     f"stages {i + 1} and {j + 1} use the same subspace; "
                     "their variance components add"
@@ -267,32 +267,27 @@ class HalfNormalRow:
 
 
 def halfnormal_emit(
-    estimates: np.ndarray | dict[Effect, float], report: VarianceReport
+    estimates: np.ndarray, report: VarianceReport
 ) -> tuple[HalfNormalRow, ...]:
     """Half-normal plot coordinates, one table per variance group.
 
-    Within a group of size g, effects sort by |estimate| and rank k pairs
-    with the quantile Phi^-1((k - 0.5 + g) / (2g)).
+    estimates holds one value per effect mask (entry 0, the mean, is unused).
+    Within a group of size g, masks sort by (|estimate|, mask) and rank k
+    pairs with the quantile Phi^-1((k - 0.5 + g) / (2g)).
     """
-    if isinstance(estimates, dict):
-        values = {e.bits: float(v) for e, v in estimates.items()}
-    else:
-        arr = np.asarray(estimates, dtype=float).ravel()
-        values = {bits: float(arr[bits]) for bits in range(1, arr.shape[0])}
-    nd = NormalDist()
+    values = np.abs(np.asarray(estimates, dtype=float).ravel()).tolist()
+    inv_cdf = NormalDist().inv_cdf
     rows: list[HalfNormalRow] = []
     for group in report.groups:
-        g = len(group.effects)
-        if g == 0:
-            continue
-        ordered = sorted(group.effects, key=lambda e: (abs(values[e.bits]), e.bits))
-        for k, e in enumerate(ordered, start=1):
+        g = len(group.masks)
+        ordered = sorted(group.masks, key=lambda m: (values[m], m))
+        for k, m in enumerate(ordered, start=1):
             rows.append(
                 HalfNormalRow(
                     group=group.label,
-                    effect=e.word,
-                    abs_estimate=abs(values[e.bits]),
-                    quantile=nd.inv_cdf((k - 0.5 + g) / (2 * g)),
+                    effect=mask_word(m),
+                    abs_estimate=values[m],
+                    quantile=inv_cdf((k - 0.5 + g) / (2 * g)),
                 )
             )
     return tuple(rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bitlin
-from .geometry import Effect, Subspace
+from .geometry import Subspace, mask_word
 from .gf2 import FieldPoly, default_primitive, is_primitive, power_masks
 
 __all__ = [
@@ -159,19 +159,18 @@ def verify_spread(spread: Spread) -> SpreadCheck:
     """Re-check disjointness and per-member closure from the raw point sets."""
     disjoint: list[tuple[int, int, str]] = []
     closure: list[tuple[int, str]] = []
-    p = spread.p
     for i, member in enumerate(spread.members):
         masks = member.point_masks
         for a in masks:
             for b in masks:
                 if a < b and (a ^ b) not in masks:
-                    closure.append((i, f"{Effect(a, p)}*{Effect(b, p)}"))
+                    closure.append((i, f"{mask_word(a)}*{mask_word(b)}"))
     for i, m1 in enumerate(spread.members):
         for j in range(i + 1, len(spread.members)):
             for shared in sorted(m1.point_masks & spread.members[j].point_masks):
-                disjoint.append((i, j, Effect(shared, p).word))
+                disjoint.append((i, j, mask_word(shared)))
     covered = len(frozenset().union(*(m.point_masks for m in spread.members)))
-    total = (1 << p) - 1
+    total = (1 << spread.p) - 1
     ok = not disjoint and not closure
     return SpreadCheck(
         ok=ok,

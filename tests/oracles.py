@@ -88,6 +88,15 @@ def field_mul_mask(a: int, b: int, exponents: tuple[int, ...], p: int) -> int:
     return sum(c[k] << (p - 1 - k) for k in range(p))
 
 
+# ---------------------------------------------------------------- words
+
+
+def mask_word_join(bits: int) -> str:
+    """Factor word of a mask, one letter per set bit in ascending bit order."""
+    letters = "ABCDEFGHIJKLMNOPQRSTUVWX"
+    return "".join(letters[j] for j in range(bits.bit_length()) if bits >> j & 1)
+
+
 # ---------------------------------------------------------------- spans
 
 

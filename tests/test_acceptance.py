@@ -267,7 +267,7 @@ def test_criterion_9_fraction_scenario():
             ("E", "F"),
             ("G", "H"),
         )
-        words = fraction.subgroup.masks()
+        words = fraction.subgroup.words
         assert len(words) == 3
         for w1, w2 in combinations(words, 2):
             assert w1 ^ w2 in words

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import signal
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -488,6 +489,30 @@ def test_construct_fraction_argument_errors(tmp_path, capsys):
     assert "appears in two stages" in capsys.readouterr().err
 
 
+def _within_one_second(argv):
+    """Run the CLI in-process; a request still running after 1 s raises."""
+
+    def stop(signum, frame):
+        raise TimeoutError(f"{argv} still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return main(argv)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("basic", ["9", "8"])
+def test_construct_fraction_needs_basic_below_factors(basic, tmp_path, capsys):
+    argv = ["construct", "--factors", "8", "--basic", basic, "--t", "2", "--stage", "A"]
+    assert _within_one_second([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert f"2 <= basic < factors <= 24, got basic={basic}, factors=8" in (
+        capsys.readouterr().err
+    )
+
+
 # ---------------------------------------------------------------- transform
 
 
@@ -766,6 +791,73 @@ def test_fraction_bad_spec(tmp_path, capsys):
     assert main(["fraction", "--spec", "{broken"]) == 2
     assert main(["fraction", "--spec", str(tmp_path / "missing.json")]) == 2
     assert "cannot read fraction spec" in capsys.readouterr().err
+
+
+MALFORMED_SPECS = [
+    (
+        {"factors": 8, "basic": 6, "generators": {"G": {"stage": 1}, "H": "ABE"}},
+        "missing the 'alias' key",
+    ),
+    ({"factors": None, "basic": 6, "generators": {}}, "malformed fraction spec"),
+    (
+        {"factors": 8, "basic": 6, "generators": {"G": {"alias": "ABC", "stage": [1]}, "H": "ABE"}},
+        "malformed fraction spec",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, message", MALFORMED_SPECS)
+def test_malformed_fraction_spec_is_invalid_input(spec, message, tmp_path, capsys):
+    assert main(["fraction", "--spec", json.dumps(spec)]) == 2
+    assert message in capsys.readouterr().err
+    path = tmp_path / "candidates.json"
+    path.write_text(json.dumps([spec]))
+    assert main(["rank", "--candidates", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-30, max_value=30),
+    st.floats(),
+    st.text(alphabet="ABCDEFGHIJKLMNOPQRSTUVWXYZa", max_size=5),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3),
+        st.dictionaries(st.sampled_from(["alias", "stage", "G", "H"]), kids, max_size=3),
+    ),
+    max_leaves=6,
+)
+_generator_entries = st.one_of(
+    st.text(alphabet="ABCDEFa", max_size=6),
+    st.fixed_dictionaries(
+        {"alias": st.text(alphabet="ABCDEF", max_size=5)}, optional={"stage": _json_values}
+    ),
+    _json_values,
+)
+_fraction_specs = st.fixed_dictionaries(
+    {
+        "factors": st.one_of(st.integers(min_value=0, max_value=26), _json_scalars),
+        "basic": st.one_of(st.integers(min_value=0, max_value=26), _json_scalars),
+        "generators": st.one_of(
+            st.dictionaries(st.sampled_from("ABCDEFGHIJKLa"), _generator_entries, max_size=6),
+            _json_values,
+        ),
+    }
+)
+
+
+@settings(deadline=None)
+@given(spec=_fraction_specs)
+def test_random_fraction_specs_exit_cleanly(spec, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "random_candidates.json"
+    path.write_text(json.dumps([spec]))
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        assert main(["fraction", "--spec", json.dumps(spec)]) in (0, 2)
+        assert main(["rank", "--candidates", str(path)]) in (0, 2)
 
 
 # ---------------------------------------------------------------- rank

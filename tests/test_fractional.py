@@ -14,7 +14,7 @@ from rdcss.fractional import (
     rank_designs,
     stage_factor_sets,
 )
-from rdcss.geometry import Effect, parse_effect, span
+from rdcss.geometry import Effect, mask_word, parse_effect, span
 from rdcss.randomization import Design
 
 
@@ -68,15 +68,15 @@ def test_spec_counts():
     assert spec.s == 2
     assert spec.runs == 64
     words = spec.defining_words()
-    assert [w.word for w in words] == ["ABCDG", "ABEFH"]
-    assert all(w.p == 8 for w in words)
+    assert words == (0b01001111, 0b10110011)
+    assert [mask_word(w) for w in words] == ["ABCDG", "ABEFH"]
 
 
 def test_defining_subgroup_closure():
     subgroup = defining_subgroup(_spec_v())
-    assert [w.word for w in subgroup.words] == ["ABCDG", "ABEFH", "CDEFGH"]
-    masks = subgroup.masks()
-    assert len(masks) == 3
+    assert [mask_word(w) for w in subgroup.words] == ["ABCDG", "ABEFH", "CDEFGH"]
+    masks = subgroup.words
+    assert list(masks) == sorted(masks) and len(masks) == 3
     for a in masks:
         for b in masks:
             if a != b:
@@ -101,7 +101,7 @@ def test_degenerate_whole_design():
 def test_resolution_iii_subgroup():
     spec = FractionSpec(5, 3, (_gen("D", "AB", u=3), _gen("E", "AC", u=3)))
     subgroup = defining_subgroup(spec)
-    assert [w.word for w in subgroup.words] == ["ABD", "ACE", "BCDE"]
+    assert [mask_word(w) for w in subgroup.words] == ["ABD", "ACE", "BCDE"]
     assert subgroup.resolution == 3
     assert subgroup.wlp == (0, 0, 2, 1, 0)
     report = clear_effects(subgroup)
@@ -192,7 +192,7 @@ def test_runs_satisfy_defining_words():
     assert design.run_matrix.shape == (64, 8)
     assert set(design.run_matrix.ravel().tolist()) == {0, 1}
     for mask in design.run_masks:
-        for word in design.subgroup.masks():
+        for word in design.subgroup.words:
             assert (mask & word).bit_count() % 2 == 0
 
 
@@ -300,10 +300,8 @@ def test_rank_designs_tie_breaks_on_words():
     mirrored = FractionSpec(8, 6, (_gen("G", "ABEF"), _gen("H", "ABCD")))
     ranked = rank_designs([mirrored, _spec_v()])
     assert ranked[0].wlp == ranked[1].wlp
-    # Equal patterns fall back to the sorted defining-word masks.
-    first_words = sorted(w.bits for w in ranked[0].subgroup.words)
-    second_words = sorted(w.bits for w in ranked[1].subgroup.words)
-    assert first_words < second_words
+    # Equal patterns fall back to the ascending defining-word masks.
+    assert ranked[0].subgroup.words < ranked[1].subgroup.words
     assert ranked[0].spec == _spec_v()
     assert rank_designs([mirrored, _spec_v()]) == rank_designs(
         [_spec_v(), mirrored]

@@ -9,13 +9,14 @@ from hypothesis import strategies as st
 from rdcss.geometry import (
     Effect,
     intersect,
+    mask_word,
     parse_effect,
     rank,
     span,
     subspace_from_points,
 )
 
-from oracles import all_subspaces_brute, rank_of, xor_span
+from oracles import all_subspaces_brute, mask_word_join, rank_of, xor_span
 
 
 def test_effect_word_letters():
@@ -25,6 +26,18 @@ def test_effect_word_letters():
     assert Effect((1 << 6) - 1, 6).word == "ABCDEF"
     assert Effect(0b101, 6).order == 2
     assert str(Effect(0b1, 6)) == "A"
+
+
+def test_mask_word_matches_letter_join():
+    assert mask_word(0) == ""
+    assert mask_word(0b1101) == "ACD"
+    assert mask_word((1 << 24) - 1) == "ABCDEFGHIJKLMNOPQRSTUVWX"
+    assert all(mask_word(m) == mask_word_join(m) for m in range(1 << 12))
+
+
+@given(st.integers(min_value=0, max_value=(1 << 24) - 1))
+def test_mask_word_matches_letter_join_on_24_bits(bits):
+    assert mask_word(bits) == mask_word_join(bits)
 
 
 @given(st.integers(min_value=2, max_value=10), st.data())

@@ -168,11 +168,12 @@ def test_variance_groups_two_stage_partition(two_stage_design):
     report = variance_groups(two_stage_design, VarianceSpec(1.0, (2.0, 3.0)))
     by_label = {g.label: g for g in report.groups}
     assert set(by_label) == {"rest", "s1", "s2"}
-    assert len(by_label["s1"].effects) == 3
-    assert len(by_label["s2"].effects) == 7
-    assert len(by_label["rest"].effects) == 21
+    assert len(by_label["s1"].masks) == 3
+    assert len(by_label["s2"].masks) == 7
+    assert len(by_label["rest"].masks) == 21
+    assert all(list(g.masks) == sorted(g.masks) for g in report.groups)
     # Partition of all 31 effects.
-    seen = [e.bits for g in report.groups for e in g.effects]
+    seen = [m for g in report.groups for m in g.masks]
     assert sorted(seen) == list(range(1, 32))
     # Stage groups lead in index order; the unbatched rest group closes.
     assert [g.label for g in report.groups] == ["s1", "s2", "rest"]
@@ -207,9 +208,10 @@ def test_variance_groups_without_spec(two_stage_design):
 def test_group_variance_is_each_effect_variance(two_stage_design):
     spec = VarianceSpec(1.0, (2.0, 3.0))
     report = variance_groups(two_stage_design, spec)
-    assert sum(len(g.effects) for g in report.groups) == 31
+    assert sum(len(g.masks) for g in report.groups) == 31
     for group in report.groups:
-        for effect in group.effects:
+        for m in group.masks:
+            effect = Effect(m, two_stage_design.p)
             assert effect_variance(effect, two_stage_design, spec) == group.variance
             for i, sub in enumerate(two_stage_design.stages):
                 assert sub.contains(effect) is (i in group.stage_indices)
@@ -234,9 +236,9 @@ def test_simulate_matches_theoretical_variances(splitplot_design):
     assert draws.shape == (reps, 32)
     report = variance_groups(splitplot_design, spec)
     for group in report.groups:
-        for effect in group.effects:
+        for m in group.masks:
             want = group.variance
-            got = draws[:, effect.bits].var(ddof=1)
+            got = draws[:, m].var(ddof=1)
             # Sample variance of a normal: SE ~ want * sqrt(2 / reps).
             se = want * np.sqrt(2.0 / reps)
             assert abs(got - want) < 5 * se
@@ -319,14 +321,15 @@ def test_halfnormal_quantiles_match_scipy(two_stage_design):
     assert a_row.abs_estimate == pytest.approx(abs(estimates[1]))
 
 
-def test_halfnormal_accepts_effect_dict(splitplot_design):
+def test_halfnormal_ties_break_on_mask(splitplot_design):
     report = variance_groups(splitplot_design, VarianceSpec(1.0, (1.0,)))
-    values = {
-        Effect(bits, 5): float(bits % 5 - 2) for bits in range(1, 32)
-    }
-    rows = halfnormal_emit(values, report)
+    estimates = np.array([float(bits % 5 - 2) for bits in range(32)])
+    rows = halfnormal_emit(estimates, report)
     assert len(rows) == 31
     assert all(r.abs_estimate >= 0 for r in rows)
-    # Ties break on the effect mask, making the emission deterministic.
-    again = halfnormal_emit(values, report)
-    assert rows == again
+    # Equal |estimate| ties, sign ties included, list in ascending mask order.
+    s1 = [r.effect for r in rows if r.group == "s1"]
+    assert s1 == ["B", "A", "AB"]
+    rest = [r.effect for r in rows if r.group == "rest"]
+    assert rest[:5] == ["ABC", "CD", "AE", "BCE", "ABDE"]
+    assert halfnormal_emit(estimates, report) == rows
