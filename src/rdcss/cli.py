@@ -318,6 +318,10 @@ def _construct_fraction(args, seed: int):
             f"fraction construction needs 2 <= basic < factors <= {len(LETTERS)}, "
             f"got basic={u}, factors={r}"
         )
+    if u > MAX_CONSTRUCT_P:
+        raise ValueError(
+            f"fraction construction is limited to basic <= {MAX_CONSTRUCT_P}, got {u}"
+        )
     if args.t is None:
         raise ValueError("fraction construction needs --t for the base spread")
     stages_cli = [_parse_stage(text, r) for text in args.stage]

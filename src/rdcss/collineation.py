@@ -9,12 +9,13 @@ effect sets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bitlin
-from .geometry import Effect, Subspace, span
+from .geometry import Effect, Subspace
 from .spreads import Spread
 
 __all__ = [
@@ -147,6 +148,17 @@ def _validated_requirements(
     return stage_targets, ranks, min_dims
 
 
+def _extend(pivots: dict[int, int], vectors: Iterable[int]) -> dict[int, int] | None:
+    """Pivot rows extended by vectors, or None if a vector falls in their span."""
+    extended = dict(pivots)
+    for v in vectors:
+        red = bitlin.reduce_vector(v, extended)
+        if not red:
+            return None
+        extended[red.bit_length() - 1] = red
+    return extended
+
+
 def find_collineation(
     spread: Spread,
     requirements: Sequence[StageRequirement],
@@ -157,24 +169,26 @@ def find_collineation(
     Deterministic enumeration: stage-to-member injections in member-index
     order, then per-stage source subsets in combination order over each
     member's sorted points, each subset paired sorted-source to listed-target.
-    When the stage ranks do not sum to p, the assignment is completed from the
-    points of unassigned members (lexicographic order, all completions
-    enumerated on backtracking) against a fixed lexicographic target-basis
-    completion.  Every complete candidate assignment counts against
-    max_candidates; the first feasible one wins.
+    Every such leaf is one candidate.  The targets are jointly independent, so
+    a leaf is feasible exactly when its sources are: M = S^-1 T then maps each
+    chosen member onto a subspace holding its targets, of the same dimension.
+    The sources are eliminated stage by stage; a prefix that turns dependent
+    is skipped whole, and its candidates are counted as the product of the
+    later stages' subset counts.  When the stage ranks do not sum to p, a
+    leaf is completed with the first independent choice, in lexicographic
+    order, of points from unassigned members, mapped onto the lexicographic
+    target-basis completion; a leaf without one is a failed candidate.  The
+    first leaf with a completion wins, and every candidate up to it counts
+    against max_candidates.
     """
+    if max_candidates is not None and max_candidates < 0:
+        raise ValueError(f"search budget must be non-negative, got {max_candidates}")
     p = spread.p
     stage_targets, ranks, min_dims = _validated_requirements(spread, requirements)
     m = len(requirements)
-    total_rank = sum(ranks)
-    need = p - total_rank
-
-    flat_targets = [mask for ms in stage_targets for mask in ms]
-    completion_targets = bitlin.complete_basis(flat_targets, p)[total_rank:]
-    exact_sets = [
-        span(tuple(req.required_effects)).point_masks if req.exact else None
-        for req in requirements
-    ]
+    need = p - sum(ranks)
+    targets = bitlin.complete_basis([mask for ms in stage_targets for mask in ms], p)
+    limit = math.inf if max_candidates is None else max_candidates
 
     candidates: list[list[int]] = []
     for i, req in enumerate(requirements):
@@ -199,63 +213,44 @@ def find_collineation(
             chosen.pop()
             used.remove(j)
 
-    def candidate_assignments(inj: tuple[int, ...]) -> Iterator[list[tuple[int, int]] | None]:
-        # Yields complete p-pair candidates; a None marks a stage-source
-        # choice admitting no independent completion (one failed candidate).
+    def leaves(
+        inj: tuple[int, ...], tail: list[int], stage: int, first: int,
+        pivots: dict[int, int], sources: tuple[int, ...],
+    ) -> Iterator[tuple[int, dict[int, int], tuple[int, ...]]]:
+        # (index, pivots, sources) of each independent leaf below a prefix
+        # whose first candidate has index `first`; ends at the first subtree
+        # that starts beyond the budget.
+        if stage == m:
+            yield first, pivots, sources
+            return
+        subsets = combinations(member_points[inj[stage]], ranks[stage])
+        for k, subset in enumerate(subsets):
+            start = first + k * tail[stage + 1]
+            if start >= limit:
+                return
+            extended = _extend(pivots, subset)
+            if extended is not None:
+                yield from leaves(inj, tail, stage + 1, start, extended, sources + subset)
+
+    tried = 0
+    for inj in injections(0, set(), []):
+        tail = [1] * (m + 1)
+        for i in range(m - 1, -1, -1):
+            tail[i] = tail[i + 1] * math.comb(len(member_points[inj[i]]), ranks[i])
         pool = sorted(
             pt
             for j in range(len(spread.members))
             if j not in inj
             for pt in member_points[j]
         )
-
-        def rec(stage: int, acc: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]] | None]:
-            if stage == m:
-                if need == 0:
-                    yield list(acc)
-                    return
-                chosen_src = [s for s, _ in acc]
-                complete = False
-                for extra in combinations(pool, need):
-                    if bitlin.is_independent(chosen_src + list(extra)):
-                        complete = True
-                        yield list(acc) + list(zip(extra, completion_targets))
-                if not complete:
-                    yield None
-                return
-            for subset in combinations(member_points[inj[stage]], ranks[stage]):
-                acc.extend(zip(subset, stage_targets[stage]))
-                yield from rec(stage + 1, acc)
-                del acc[-ranks[stage]:]
-
-        yield from rec(0, [])
-
-    def attempt(pairs: list[tuple[int, int]], inj: tuple[int, ...]) -> Collineation | None:
-        # M = S^-1 T maps each source row onto its target; dependent sources
-        # admit no such M, and independent targets make M invertible.
-        inv = bitlin.invert([s for s, _ in pairs], p)
-        if inv is None:
-            return None
-        rows = bitlin.matmul(inv, [t for _, t in pairs])
-        for i in range(m):
-            image = {bitlin.apply_rows(rows, pt) for pt in member_points[inj[i]]}
-            if not all(mask in image for mask in stage_targets[i]):
-                return None
-            if exact_sets[i] is not None and image != exact_sets[i]:
-                return None
-        return Collineation(p, tuple(rows))
-
-    tried = 0
-    for inj in injections(0, set(), []):
-        for cand in candidate_assignments(inj):
-            if max_candidates is not None and tried >= max_candidates:
-                return SearchResult("budget-exhausted", None, None, tried)
-            tried += 1
-            if cand is None:
-                continue
-            coll = attempt(cand, inj)
-            if coll is not None:
-                return SearchResult("found", coll, inj, tried)
+        for index, pivots, sources in leaves(inj, tail, 0, tried, {}, ()):
+            for extra in combinations(pool, need):
+                if _extend(pivots, extra) is not None:
+                    rows = bitlin.matmul(bitlin.invert([*sources, *extra], p), targets)
+                    return SearchResult("found", Collineation(p, tuple(rows)), inj, index + 1)
+        tried += tail[0]
+        if tried > limit:
+            return SearchResult("budget-exhausted", None, None, max_candidates)
     return SearchResult("infeasible", None, None, tried)
 
 
@@ -281,8 +276,8 @@ def count_feasible(
     subsets per stage; a candidate is feasible iff its linear system is
     consistent with invertible solution.  With the p targets jointly
     independent that holds iff the p chosen sources are independent, which is
-    what the inner loop checks; the equivalence is exercised against the
-    paper's linear-system solve in the test suite.
+    what the stage-by-stage elimination checks; the equivalence is exercised
+    against the paper's linear-system solve in the test suite.
     """
     p = spread.p
     stage_targets, ranks, _ = _validated_requirements(spread, requirements)
@@ -304,26 +299,14 @@ def count_feasible(
     total = 0
     for combo in combinations(range(len(spread.members)), m):
         per_stage = [subsets(combo[i], ranks[i]) for i in range(m)]
-        tail = [1] * (m + 1)
-        for i in range(m - 1, -1, -1):
-            tail[i] = tail[i + 1] * len(per_stage[i])
-        total += tail[0]
+        total += math.prod(len(s) for s in per_stage)
 
         def walk(stage: int, pivots: dict[int, int]) -> int:
-            if stage == m:
-                return 1
             hits = 0
             for subset in per_stage[stage]:
-                extended = dict(pivots)
-                ok = True
-                for v in subset:
-                    red = bitlin.reduce_vector(v, extended)
-                    if not red:
-                        ok = False
-                        break
-                    extended[red.bit_length() - 1] = red
-                if ok:
-                    hits += walk(stage + 1, extended)
+                extended = _extend(pivots, subset)
+                if extended is not None:
+                    hits += 1 if stage == m - 1 else walk(stage + 1, extended)
             return hits
 
         feasible += walk(0, {})

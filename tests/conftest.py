@@ -1,11 +1,8 @@
-"""Shared fixtures: pinned reference objects used across the suite."""
+"""Shared fixtures: pinned reference objects and the suite's timing guard."""
 
-import sys
-from pathlib import Path
+import signal
 
 import pytest
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 from rdcss import (
     Collineation,
@@ -15,6 +12,25 @@ from rdcss import (
     parse_effect,
     span,
 )
+
+
+@pytest.fixture
+def within_one_second():
+    """Run call(*args); a call still running after 1 s raises TimeoutError."""
+
+    def run(call, *args):
+        def stop(signum, frame):
+            raise TimeoutError(f"{call.__name__}{args} still running after 1 s")
+
+        previous = signal.signal(signal.SIGALRM, stop)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            return call(*args)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return run
 
 
 def _rows_from_bits(bit_rows: list[tuple[int, ...]]) -> tuple[int, ...]:

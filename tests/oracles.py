@@ -6,7 +6,9 @@ found by brute force over point combinations, a relabeling matrix comes
 from the paper's formulation, a p^2-unknown linear system solved by Gaussian
 elimination, and the statistical layer is restated with the dense n x n
 model and incidence matrices.  Slow but transparently correct at the sizes
-under test.
+under test.  The one exception is the enumerated relabeling search, kept on
+the package's bit-matrix helpers because it pins the candidate counts and
+matrices of the elimination search, not its arithmetic.
 """
 
 from __future__ import annotations
@@ -14,11 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from rdcss.collineation import Collineation
+from rdcss import bitlin
+from rdcss.collineation import (
+    Collineation,
+    SearchResult,
+    StageRequirement,
+    _validated_requirements,
+)
+from rdcss.geometry import span
 from rdcss.randomization import Design, VarianceSpec
+from rdcss.spreads import Spread
 
 # ---------------------------------------------------------------- GF(2)[x]
 # Schoolbook polynomial arithmetic on coefficient lists, index k = x^k.
@@ -217,6 +228,124 @@ def collineation_from_solution(x: int, p: int) -> Collineation:
     """Unpack a solution vector into the p x p matrix it encodes."""
     mask = (1 << p) - 1
     return Collineation(p, tuple((x >> (i * p)) & mask for i in range(p)))
+
+
+# ---------------------------------------------------------------- enumerated search
+# The relabeling search as it was first written: every candidate is a full
+# list of p source-target pairs, inverted and checked by mapping every point
+# of every chosen member.  It is the reference for the elimination walk.
+
+
+def find_collineation_enumerated(
+    spread: Spread,
+    requirements: Sequence[StageRequirement],
+    max_candidates: int | None = None,
+) -> SearchResult:
+    """Search for a collineation meeting every stage requirement.
+
+    Deterministic enumeration: stage-to-member injections in member-index
+    order, then per-stage source subsets in combination order over each
+    member's sorted points, each subset paired sorted-source to listed-target.
+    When the stage ranks do not sum to p, the assignment is completed from the
+    points of unassigned members (lexicographic order, all completions
+    enumerated on backtracking) against a fixed lexicographic target-basis
+    completion.  Every complete candidate assignment counts against
+    max_candidates; the first feasible one wins.
+    """
+    p = spread.p
+    stage_targets, ranks, min_dims = _validated_requirements(spread, requirements)
+    m = len(requirements)
+    total_rank = sum(ranks)
+    need = p - total_rank
+
+    flat_targets = [mask for ms in stage_targets for mask in ms]
+    completion_targets = bitlin.complete_basis(flat_targets, p)[total_rank:]
+    exact_sets = [
+        span(tuple(req.required_effects)).point_masks if req.exact else None
+        for req in requirements
+    ]
+
+    candidates: list[list[int]] = []
+    for i, req in enumerate(requirements):
+        if req.exact:
+            cand = [j for j, mem in enumerate(spread.members) if mem.dim == ranks[i]]
+        else:
+            cand = [j for j, mem in enumerate(spread.members) if mem.dim >= min_dims[i]]
+        candidates.append(cand)
+
+    member_points = [sorted(mem.point_masks) for mem in spread.members]
+
+    def injections(stage: int, used: set[int], chosen: list[int]) -> Iterator[tuple[int, ...]]:
+        if stage == m:
+            yield tuple(chosen)
+            return
+        for j in candidates[stage]:
+            if j in used:
+                continue
+            used.add(j)
+            chosen.append(j)
+            yield from injections(stage + 1, used, chosen)
+            chosen.pop()
+            used.remove(j)
+
+    def candidate_assignments(inj: tuple[int, ...]) -> Iterator[list[tuple[int, int]] | None]:
+        # Yields complete p-pair candidates; a None marks a stage-source
+        # choice admitting no independent completion (one failed candidate).
+        pool = sorted(
+            pt
+            for j in range(len(spread.members))
+            if j not in inj
+            for pt in member_points[j]
+        )
+
+        def rec(stage: int, acc: list[tuple[int, int]]) -> Iterator[list[tuple[int, int]] | None]:
+            if stage == m:
+                if need == 0:
+                    yield list(acc)
+                    return
+                chosen_src = [s for s, _ in acc]
+                complete = False
+                for extra in combinations(pool, need):
+                    if bitlin.is_independent(chosen_src + list(extra)):
+                        complete = True
+                        yield list(acc) + list(zip(extra, completion_targets))
+                if not complete:
+                    yield None
+                return
+            for subset in combinations(member_points[inj[stage]], ranks[stage]):
+                acc.extend(zip(subset, stage_targets[stage]))
+                yield from rec(stage + 1, acc)
+                del acc[-ranks[stage]:]
+
+        yield from rec(0, [])
+
+    def attempt(pairs: list[tuple[int, int]], inj: tuple[int, ...]) -> Collineation | None:
+        # M = S^-1 T maps each source row onto its target; dependent sources
+        # admit no such M, and independent targets make M invertible.
+        inv = bitlin.invert([s for s, _ in pairs], p)
+        if inv is None:
+            return None
+        rows = bitlin.matmul(inv, [t for _, t in pairs])
+        for i in range(m):
+            image = {bitlin.apply_rows(rows, pt) for pt in member_points[inj[i]]}
+            if not all(mask in image for mask in stage_targets[i]):
+                return None
+            if exact_sets[i] is not None and image != exact_sets[i]:
+                return None
+        return Collineation(p, tuple(rows))
+
+    tried = 0
+    for inj in injections(0, set(), []):
+        for cand in candidate_assignments(inj):
+            if max_candidates is not None and tried >= max_candidates:
+                return SearchResult("budget-exhausted", None, None, tried)
+            tried += 1
+            if cand is None:
+                continue
+            coll = attempt(cand, inj)
+            if coll is not None:
+                return SearchResult("found", coll, inj, tried)
+    return SearchResult("infeasible", None, None, tried)
 
 
 # ---------------------------------------------------------------- dense statistics

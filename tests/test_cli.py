@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-import signal
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -489,28 +488,22 @@ def test_construct_fraction_argument_errors(tmp_path, capsys):
     assert "appears in two stages" in capsys.readouterr().err
 
 
-def _within_one_second(argv):
-    """Run the CLI in-process; a request still running after 1 s raises."""
-
-    def stop(signum, frame):
-        raise TimeoutError(f"{argv} still running after 1 s")
-
-    previous = signal.signal(signal.SIGALRM, stop)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        return main(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
 @pytest.mark.parametrize("basic", ["9", "8"])
-def test_construct_fraction_needs_basic_below_factors(basic, tmp_path, capsys):
+def test_construct_fraction_needs_basic_below_factors(
+    basic, tmp_path, capsys, within_one_second
+):
     argv = ["construct", "--factors", "8", "--basic", basic, "--t", "2", "--stage", "A"]
-    assert _within_one_second([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert within_one_second(main, [*argv, "--out-dir", str(tmp_path)]) == 2
     assert f"2 <= basic < factors <= 24, got basic={basic}, factors=8" in (
         capsys.readouterr().err
     )
+
+
+def test_construct_fraction_caps_basic_count(tmp_path, capsys, within_one_second):
+    # A 15-factor base spread used to run a search that had not ended after 120 s.
+    argv = ["construct", "--factors", "16", "--basic", "15", "--t", "5", "--stage", "A,B"]
+    assert within_one_second(main, [*argv, "--out-dir", str(tmp_path)]) == 2
+    assert "limited to basic <= 12, got 15" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- transform
@@ -563,6 +556,27 @@ def test_transform_budget(capsys):
         ]
     )
     assert rc == 4
+
+
+@pytest.mark.parametrize("command", ["construct", "transform"])
+def test_negative_budget_is_invalid_input(command, tmp_path, capsys):
+    argv = [command, "--p", "6", "--stage", "ABC,BDE,CEF:exact", "--stage", "A,B"]
+    if command == "construct":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main([*argv, "--budget", "-3"]) == 2
+    assert "search budget must be non-negative, got -3" in capsys.readouterr().err
+
+
+def test_transform_p12_four_stages(capsys, within_one_second):
+    stages = ["A,B,C", "D,E,F", "G,H,I", "J,K,L"]
+    argv = ["transform", "--p", "12", "--t", "3"]
+    for words in stages:
+        argv += ["--stage", words]
+    assert within_one_second(main, argv) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "found"
+    assert data["candidates_tried"] == 44137
+    assert data["stage_members"] == [1, 2, 3, 4]
 
 
 def test_transform_needs_stages(capsys):

@@ -3,7 +3,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdcss import bitlin
@@ -18,9 +18,16 @@ from rdcss.collineation import (
     is_invertible,
 )
 from rdcss.geometry import Effect, parse_effect, span
-from rdcss.spreads import cyclic_spread, mixed_spread, verify_spread
+from rdcss.spreads import cyclic_spread, mixed_spread, partial_spread, verify_spread
 
-from oracles import build_system, collineation_from_solution, rank_of, solve_gf2
+from oracles import (
+    build_system,
+    collineation_from_solution,
+    find_collineation_enumerated,
+    greedy_basis,
+    rank_of,
+    solve_gf2,
+)
 
 # Source -> target pairs realized by the reference 6 x 6 relabeling matrix.
 M6_PAIRS = [
@@ -233,6 +240,97 @@ def test_search_budget_exhaustion(table2_spread, blocked_splitlot_requirements):
         table2_spread, blocked_splitlot_requirements, max_candidates=0
     )
     assert zero.status == "budget-exhausted" and zero.candidates_tried == 0
+    with pytest.raises(ValueError, match="non-negative, got -1"):
+        find_collineation(
+            table2_spread, blocked_splitlot_requirements, max_candidates=-1
+        )
+
+
+def test_budget_stops_at_every_count_before_the_winner(
+    table2_spread, blocked_splitlot_requirements, within_one_second
+):
+    def sweep():
+        return [
+            find_collineation(table2_spread, blocked_splitlot_requirements, k)
+            for k in range(300)
+        ]
+
+    results = within_one_second(sweep)
+    for k, result in enumerate(results):
+        if k < 148:
+            assert (result.status, result.candidates_tried) == ("budget-exhausted", k)
+        else:
+            assert (result.status, result.candidates_tried) == ("found", 148)
+            assert result == results[148]
+
+
+def test_dependent_prefixes_are_skipped_whole(within_one_second):
+    # The first 1948 five-point subsets of the 6-dimensional member are
+    # dependent; each is one candidate, and none has its completions walked.
+    reqs = [StageRequirement(tuple(parse_effect(w, 7) for w in "ABCDE"))]
+    result = within_one_second(find_collineation, mixed_spread(7, 6), reqs)
+    assert result.status == "found"
+    assert result.candidates_tried == 1949
+    assert result.stage_members == (0,)
+
+
+SEARCH_SPREADS = [
+    cyclic_spread(4, 2),
+    cyclic_spread(6, 2),
+    cyclic_spread(6, 3),
+    partial_spread(5, 2),
+    mixed_spread(5, 3),
+    mixed_spread(6, 4),
+]
+
+
+def _rank_tuples(p, top):
+    """Stage ranks up to the largest member: 1-2 stages, or 3 summing to p."""
+    ranks = range(1, top + 1)
+    pairs = [(a, b) for a in ranks for b in ranks if a + b <= p]
+    triples = [(a, b, p - a - b) for a, b in pairs if 1 <= p - a - b <= top]
+    return [(a,) for a in ranks] + pairs + triples
+
+
+@st.composite
+def search_requests(draw):
+    spread = draw(st.sampled_from(SEARCH_SPREADS))
+    p = spread.p
+    ranks = draw(st.sampled_from(_rank_tuples(p, max(m.dim for m in spread.members))))
+    order = draw(st.permutations(range(1, 1 << p)))
+    targets = iter(greedy_basis(order))
+    reqs = [
+        StageRequirement(
+            tuple(Effect(next(targets), p) for _ in range(rank)), exact=draw(st.booleans())
+        )
+        for rank in ranks
+    ]
+    budget = draw(st.none() | st.integers(min_value=0, max_value=200))
+    return spread, reqs, budget
+
+
+@settings(deadline=None)
+@given(search_requests())
+def test_search_matches_enumerated_reference(request):
+    spread, reqs, budget = request
+    assert find_collineation(spread, reqs, budget) == find_collineation_enumerated(
+        spread, reqs, budget
+    )
+
+
+@given(search_requests())
+def test_found_collineation_meets_every_requirement(request):
+    spread, reqs, budget = request
+    result = find_collineation(spread, reqs, budget)
+    if result.status != "found":
+        return
+    assert is_invertible(result.collineation)
+    assert len(set(result.stage_members)) == len(reqs)
+    for req, j in zip(reqs, result.stage_members):
+        image = apply_to_subspace(result.collineation, spread.members[j]).point_masks
+        assert {e.bits for e in req.required_effects} <= image
+        if req.exact:
+            assert image == span(req.required_effects).point_masks
 
 
 def test_search_infeasible_when_no_member_fits(table2_spread):
