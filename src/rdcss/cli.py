@@ -108,13 +108,12 @@ def _required_rank(stage: coll.StageRequirement) -> int:
     return max(rk, stage.min_dim or 0)
 
 
-def _refuse_overlap(p: int, dims: list[int], force_try: bool) -> None:
+def _refuse_overlap(p: int, dims: list[int]) -> None:
     oracle = existence.feasibility_report(p, tuple(dims))
-    if oracle.verdict == "exists-with-overlap" and not force_try:
+    if oracle.verdict == "exists-with-overlap":
         raise Infeasible(
             "existence rules prove the stages cannot be disjoint: "
             + "; ".join(oracle.rules)
-            + " (pass --try to search anyway)"
         )
 
 
@@ -238,29 +237,10 @@ def cmd_spread(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- construct
 
 
-def _fraction_stage_split(
-    stage: coll.StageRequirement, u: int
-) -> tuple[tuple[Effect, ...], list[int]]:
-    """Split a stage over r factors into basic-effect words and added letters."""
-    basic: list[Effect] = []
-    added: list[int] = []
-    for e in stage.required_effects:
-        if e.bits < (1 << u):
-            basic.append(Effect(e.bits, u))
-        elif e.order == 1:
-            added.append(e.bits.bit_length() - 1)
-        else:
-            raise ValueError(
-                f"stage word {e.word} mixes added factors into an interaction; "
-                "stage words are basic-factor effects or single added letters"
-            )
-    return tuple(basic), added
-
-
 def _spare_member(
-    transformed: spreads.Spread, used: set[int], needed_points: int, min_dim: int
+    spread: spreads.Spread, used: set[int], needed_points: int, min_dim: int
 ) -> int:
-    for j, mem in enumerate(transformed.members):
+    for j, mem in enumerate(spread.members):
         if j in used or mem.dim < min_dim:
             continue
         spare = sum(1 for b in mem.point_masks if b.bit_count() >= 2)
@@ -272,138 +252,118 @@ def _spare_member(
     )
 
 
-def _construct_full(args, stages_cli: list[coll.StageRequirement], seed: int):
-    p = args.p
-    dims = [args.t if args.t else _required_rank(s) for s in stages_cli]
-    _refuse_overlap(p, dims, args.force_try)
-    spread = _build_spread(p, args.t, dims, _parse_poly(args.poly, p))
-    result, transformed = _search(spread, stages_cli, args.budget)
-    stage_subspaces = [transformed.members[j] for j in result.stage_members]
-    design = Design(p=p, stages=tuple(stage_subspaces))
+def _construct(args, seed: int):
+    """Build a regular 2^(r-u) fraction on a 2^u base design.
+
+    A full 2^p design is the case r = u = p: every stage word is then a basic
+    effect, every stage is searched, and no fraction is layered on top.
+    """
+    if args.budget is not None and args.budget < 0:
+        raise ValueError(f"search budget must be non-negative, got {args.budget}")
+    if args.factors is None:
+        if args.p is None:
+            raise ValueError("construct needs --p (full design) or --factors (fraction)")
+        if args.p > MAX_CONSTRUCT_P:
+            raise ValueError(f"run-matrix export is limited to p <= {MAX_CONSTRUCT_P}")
+        r = u = args.p
+    else:
+        r, u = args.factors, args.basic
+        if u is None:
+            raise ValueError("fraction construction needs --basic with --factors")
+        if not 2 <= u < r <= len(LETTERS):
+            raise ValueError(
+                f"fraction construction needs 2 <= basic < factors <= {len(LETTERS)}, "
+                f"got basic={u}, factors={r}"
+            )
+        if u > MAX_CONSTRUCT_P:
+            raise ValueError(
+                f"fraction construction is limited to basic <= {MAX_CONSTRUCT_P}, got {u}"
+            )
+        if args.t is None:
+            raise ValueError("fraction construction needs --t for the base spread")
+    stages = [_parse_stage(text, r) for text in args.stage]
+    if not stages:
+        raise ValueError("construct needs at least one --stage")
+
+    # Stage words are basic effects (searched on the base spread) or single
+    # added letters (aliased into their stage by the generators).
+    letter_stage: dict[int, int] = {}
+    searched: dict[int, coll.StageRequirement] = {}
+    for i, stage in enumerate(stages):
+        basic: list[Effect] = []
+        for e in stage.required_effects:
+            if e.bits < (1 << u):
+                basic.append(Effect(e.bits, u))
+            elif e.order == 1:
+                ell = e.bits.bit_length() - 1
+                if ell in letter_stage:
+                    raise ValueError(f"added factor {e.word} appears in two stages")
+                letter_stage[ell] = i
+            else:
+                raise ValueError(
+                    f"stage word {e.word} mixes added factors into an interaction; "
+                    "stage words are basic-factor effects or single added letters"
+                )
+        if basic:
+            searched[i] = dataclasses.replace(stage, required_effects=tuple(basic))
+
+    dims = [args.t if args.t else _required_rank(s) for s in stages]
+    _refuse_overlap(u, dims)
+    spread = _build_spread(u, args.t, dims, _parse_poly(args.poly, u))
+    matrix = coll.Collineation.identity(u)
+    member: dict[int, int] = {}
+    if searched:
+        result, spread = _search(spread, list(searched.values()), args.budget)
+        matrix = result.collineation
+        member = dict(zip(searched, result.stage_members))
+    used = set(member.values())
+    for i, stage in enumerate(stages):
+        if i not in member:  # added letters only: one interaction point each
+            member[i] = _spare_member(
+                spread, used, len(stage.required_effects), stage.min_dim or args.t
+            )
+            used.add(member[i])
+
+    design = Design(p=u, stages=tuple(spread.members[member[i]] for i in range(len(stages))))
+    fraction = spec = None
+    if r > u:
+        bindings = tuple(letter_stage.get(ell) for ell in range(u, r))
+        generators = fractional.choose_generators(design, r, bindings)
+        spec = fractional.FractionSpec(factors=r, basic=u, generators=generators)
+        fraction = fractional.build_fraction(design, spec)
+
     payload = {
         "schema": 1,
-        "kind": "full",
-        "p": p,
+        "kind": "full" if fraction is None else "fraction",
+        "p": r,
         "runs": design.n,
-        "factors": LETTERS[:p],
+        "factors": LETTERS[:r],
+        **({} if fraction is None else {"base_p": u}),
         "seed": seed,
         "stages": [
             {
                 "name": f"S_{i + 1}",
-                "required": [e.word for e in s.required_effects],
-                "exact": s.exact,
-                "member_index": result.stage_members[i],
+                "required": [e.word for e in stage.required_effects],
+                "exact": stage.exact,
+                "member_index": member[i],
                 "basis": _words(sub.basis),
                 "points": _point_words(sub),
+                **(
+                    {}
+                    if fraction is None
+                    else {
+                        "lifted_basis": _words(fraction.stages[i].basis),
+                        "lifted_points": _point_words(fraction.stages[i]),
+                    }
+                ),
             }
-            for i, (s, sub) in enumerate(zip(stages_cli, stage_subspaces))
-        ],
-        "collineation": _matrix_rows(result.collineation),
-        "spread": {
-            "kind": transformed.kind,
-            "members": _member_words(transformed),
-        },
-        "fraction": None,
-    }
-    return design, None, payload
-
-
-def _construct_fraction(args, seed: int):
-    r = args.factors
-    u = args.basic if args.basic is not None else (r - args.s if args.s else None)
-    if u is None:
-        raise ValueError("fraction construction needs --basic or --s with --factors")
-    if not 2 <= u < r <= len(LETTERS):
-        raise ValueError(
-            f"fraction construction needs 2 <= basic < factors <= {len(LETTERS)}, "
-            f"got basic={u}, factors={r}"
-        )
-    if u > MAX_CONSTRUCT_P:
-        raise ValueError(
-            f"fraction construction is limited to basic <= {MAX_CONSTRUCT_P}, got {u}"
-        )
-    if args.t is None:
-        raise ValueError("fraction construction needs --t for the base spread")
-    stages_cli = [_parse_stage(text, r) for text in args.stage]
-    splits = [_fraction_stage_split(s, u) for s in stages_cli]
-
-    letter_stage: dict[int, int] = {}
-    for i, (_, added) in enumerate(splits):
-        for ell in added:
-            if ell in letter_stage:
-                raise ValueError(
-                    f"added factor {LETTERS[ell]} appears in two stages"
-                )
-            letter_stage[ell] = i
-
-    base_reqs = []
-    req_stage_idx = []
-    for i, (basic, added) in enumerate(splits):
-        if basic:
-            base_reqs.append(dataclasses.replace(stages_cli[i], required_effects=basic))
-            req_stage_idx.append(i)
-
-    dims = [args.t] * len(stages_cli)
-    _refuse_overlap(u, dims, args.force_try)
-    spread = _build_spread(u, args.t, dims, _parse_poly(args.poly, u))
-    if base_reqs:
-        result, transformed = _search(spread, base_reqs, args.budget)
-        matrix = result.collineation
-        member_for_stage = dict(zip(req_stage_idx, result.stage_members))
-    else:
-        matrix = coll.Collineation.identity(u)
-        transformed = spread
-        member_for_stage = {}
-
-    used = set(member_for_stage.values())
-    for i, (basic, added) in enumerate(splits):
-        if basic:
-            continue
-        j = _spare_member(
-            transformed, used, len(added), stages_cli[i].min_dim or args.t
-        )
-        member_for_stage[i] = j
-        used.add(j)
-
-    base_design = Design(
-        p=u, stages=tuple(transformed.members[member_for_stage[i]] for i in range(len(stages_cli)))
-    )
-    bindings = tuple(
-        letter_stage.get(u + j) for j in range(r - u)
-    )
-    generators = fractional.choose_generators(base_design, r, bindings)
-    spec = fractional.FractionSpec(factors=r, basic=u, generators=generators)
-    fraction = fractional.build_fraction(base_design, spec)
-
-    payload = {
-        "schema": 1,
-        "kind": "fraction",
-        "p": r,
-        "runs": fraction.runs,
-        "factors": LETTERS[:r],
-        "base_p": u,
-        "seed": seed,
-        "stages": [
-            {
-                "name": f"S_{i + 1}",
-                "required": [e.word for e in stages_cli[i].required_effects],
-                "exact": stages_cli[i].exact,
-                "member_index": member_for_stage[i],
-                "basis": _words(base_design.stages[i].basis),
-                "points": _point_words(base_design.stages[i]),
-                "lifted_basis": _words(fraction.stages[i].basis),
-                "lifted_points": _point_words(fraction.stages[i]),
-            }
-            for i in range(len(stages_cli))
+            for i, (stage, sub) in enumerate(zip(stages, design.stages))
         ],
         "collineation": _matrix_rows(matrix),
-        "spread": {
-            "kind": transformed.kind,
-            "members": _member_words(transformed),
-        },
-        "fraction": fractional.fraction_spec_to_dict(spec),
+        "spread": {"kind": spread.kind, "members": _member_words(spread)},
+        "fraction": None if spec is None else fractional.fraction_spec_to_dict(spec),
     }
-    return base_design, fraction, payload
+    return design, fraction, payload
 
 
 def load_design(path: str | Path):
@@ -487,28 +447,16 @@ def _write_runs_csv(path: Path, matrix: np.ndarray, letters: str, coding: str) -
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args.seed)
-    if args.factors is not None:
-        design, fraction, payload = _construct_fraction(args, seed)
-        run_matrix = fraction.run_matrix
-        letters = LETTERS[: fraction.factors]
-    else:
-        if args.p is None:
-            raise ValueError("construct needs --p (full design) or --factors (fraction)")
-        if args.p > MAX_CONSTRUCT_P:
-            raise ValueError(
-                f"run-matrix export is limited to p <= {MAX_CONSTRUCT_P}"
-            )
-        stages_cli = [_parse_stage(text, args.p) for text in args.stage]
-        if not stages_cli:
-            raise ValueError("construct needs at least one --stage")
-        design, fraction, payload = _construct_full(args, stages_cli, seed)
-        run_matrix = design.run_matrix
-        letters = LETTERS[: design.p]
+    design, fraction, payload = _construct(args, _resolve_seed(args.seed))
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "design.json").write_text(json.dumps(payload, indent=2) + "\n")
-    _write_runs_csv(out / "runs.csv", run_matrix, letters, args.coding)
+    _write_runs_csv(
+        out / "runs.csv",
+        (design if fraction is None else fraction).run_matrix,
+        payload["factors"],
+        args.coding,
+    )
     verification = verification_payload(design, fraction, payload)
     (out / "verification.json").write_text(json.dumps(verification, indent=2) + "\n")
     print(
@@ -722,7 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--p", type=int)
     p_construct.add_argument("--factors", type=int, help="total factors r of a fraction")
     p_construct.add_argument("--basic", type=int, help="basic factor count u")
-    p_construct.add_argument("--s", type=int, help="added factor count (u = r - s)")
     p_construct.add_argument("--t", type=int, help="spread member dimension")
     p_construct.add_argument(
         "--stage",
@@ -734,12 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_construct.add_argument("--poly")
     p_construct.add_argument("--seed", type=int)
     p_construct.add_argument("--budget", type=int)
-    p_construct.add_argument(
-        "--try",
-        dest="force_try",
-        action="store_true",
-        help="search even when existence rules predict overlap",
-    )
     p_construct.add_argument("--coding", choices=["01", "pm1"], default="01")
     p_construct.add_argument("--out-dir", default=".")
     p_construct.set_defaults(func=cmd_construct)

@@ -23,7 +23,6 @@ __all__ = [
     "StageRequirement",
     "SearchResult",
     "FeasibilityCount",
-    "apply",
     "apply_to_subspace",
     "apply_to_spread",
     "is_invertible",
@@ -51,13 +50,6 @@ class Collineation:
 
     def entry(self, i: int, j: int) -> int:
         return (self.rows[i] >> j) & 1
-
-
-def apply(m: Collineation, e: Effect) -> Effect:
-    """Image z'M of an effect under the collineation."""
-    if e.p != m.p:
-        raise ValueError("effect width does not match collineation size")
-    return Effect(bitlin.apply_rows(list(m.rows), e.bits), m.p)
 
 
 def is_invertible(m: Collineation) -> bool:

@@ -3,22 +3,19 @@
 All counts are exact integers.  Each number in a report is labeled with the
 rule that produced it: the Andre divisibility condition for full spreads, the
 Eisfeld-Storme partial-spread guarantee, the Govaerts deficiency bound, the
-overlap dimension bound for forced intersections, and the double-space
-section construction for one oversized stage.
+overlap dimension bound for forced intersections, the double-space section
+construction for one oversized stage, and a point count for more stages than
+that construction has slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .geometry import Subspace
-
 __all__ = [
     "ExistenceReport",
-    "full_spread_exists",
     "full_spread_count",
     "pairwise_min_overlap",
-    "overlap_witness",
     "partial_spread_guarantee",
     "partial_spread_upper_bound",
     "spread_report",
@@ -64,12 +61,6 @@ def _check_dim(p: int, t: int) -> None:
         raise ValueError(f"stage dimension must satisfy 0 < t < p, got t={t}, p={p}")
 
 
-def full_spread_exists(p: int, t: int) -> bool:
-    """Andre divisibility: a full (t-1)-spread of PG(p-1,2) exists iff t | p."""
-    _check_dim(p, t)
-    return p % t == 0
-
-
 def full_spread_count(p: int, t: int) -> int:
     """Member count (2^p - 1)/(2^t - 1) of a full spread; requires t | p."""
     _check_dim(p, t)
@@ -89,19 +80,6 @@ def pairwise_min_overlap(p: int, t1: int, t2: int) -> int:
     if t1 + t2 <= p:
         return 0
     return (1 << (t1 + t2 - p)) - 1
-
-
-def overlap_witness(p: int, t1: int, t2: int) -> tuple[Subspace, Subspace]:
-    """A dim-(t1, t2) subspace pair attaining pairwise_min_overlap.
-
-    First subspace on the first t1 coordinates, second on the last t2; their
-    shared coordinates realize the minimum exactly.
-    """
-    _check_dim(p, t1)
-    _check_dim(p, t2)
-    s1 = Subspace(p=p, basis=tuple(1 << j for j in range(t1)))
-    s2 = Subspace(p=p, basis=tuple(1 << j for j in range(p - t2, p)))
-    return s1, s2
 
 
 def _split(p: int, t: int) -> tuple[int, int]:
@@ -192,8 +170,10 @@ def mixed_existence(p: int, t1: int, t_list: tuple[int, ...]) -> ExistenceReport
     """Slots around one oversized stage via the double-space section construction.
 
     For p/2 < t1 < p there are 2^t1 + 1 slots: one of dimension t1 and 2^t1 of
-    dimension p - t1, shrinkable to smaller requests.  Boundary cases and
-    oversized companions are reported, not raised.
+    dimension p - t1, shrinkable to smaller requests.  More stages than slots
+    must overlap only when their points outnumber those of PG(p-1, 2);
+    otherwise the question is left open.  Boundary cases and oversized
+    companions are reported, not raised.
     """
     _check_dim(p, t1)
     for t in t_list:
@@ -238,18 +218,32 @@ def mixed_existence(p: int, t1: int, t_list: tuple[int, ...]) -> ExistenceReport
             + report.rules,
         )
     slots = (1 << t1) + 1
+    rules = (
+        "double-space section construction: 2^t1 + 1 slots "
+        f"(one of dim {t1}, {1 << t1} of dim {p - t1})",
+    )
+    # The slot count comes from one construction and bounds nothing; only a
+    # point count proves that more stages must overlap.
+    points = sum((1 << t) - 1 for t in dims)
+    if len(dims) <= slots:
+        verdict = "exists"
+    elif points > (1 << p) - 1:
+        verdict = "exists-with-overlap"
+        rules += (
+            f"point count: the stages hold {points} effects, "
+            f"more than the {(1 << p) - 1} of PG({p - 1}, 2)",
+        )
+    else:
+        verdict = "unknown-within-bounds"
     return ExistenceReport(
-        verdict="exists" if len(dims) <= slots else "exists-with-overlap",
+        verdict=verdict,
         p=p,
         stage_dims=dims,
         t=None,
         guaranteed_count=slots,
         upper_bound=None,
         min_overlap_size=0,
-        rules=(
-            "double-space section construction: 2^t1 + 1 slots "
-            f"(one of dim {t1}, {1 << t1} of dim {p - t1})",
-        ),
+        rules=rules,
     )
 
 

@@ -133,9 +133,6 @@ class Subspace:
     def points(self) -> tuple[Effect, ...]:
         return tuple(Effect(m, self.p) for m in sorted(self.point_masks))
 
-    def contains(self, effect: Effect) -> bool:
-        return effect.bits in self.point_masks
-
     def __len__(self) -> int:
         return (1 << self.dim) - 1
 

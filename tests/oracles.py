@@ -27,7 +27,7 @@ from rdcss.collineation import (
     StageRequirement,
     _validated_requirements,
 )
-from rdcss.geometry import span
+from rdcss.geometry import Effect, Subspace, span
 from rdcss.randomization import Design, VarianceSpec
 from rdcss.spreads import Spread
 
@@ -142,6 +142,45 @@ def all_subspaces_brute(p: int, t: int) -> set[frozenset[int]]:
         if len(s) == (1 << t) - 1:
             found.add(s)
     return found
+
+
+# ---------------------------------------------------------------- edge helpers
+# Conveniences that no package code calls: one effect's image, a membership
+# probe, Andre's divisibility test and a pair of subspaces that overlap as
+# little as their dimensions allow.
+
+
+def apply(m: Collineation, e: Effect) -> Effect:
+    """Image z'M of an effect: the XOR of the rows of M that z selects."""
+    if e.p != m.p:
+        raise ValueError("effect width does not match collineation size")
+    image = 0
+    for i, row in enumerate(m.rows):
+        if e.bits >> i & 1:
+            image ^= row
+    return Effect(image, m.p)
+
+
+def contains(sub: Subspace, effect: Effect) -> bool:
+    return effect.bits in xor_span(sub.basis)
+
+
+def full_spread_exists(p: int, t: int) -> bool:
+    """Andre divisibility: a full (t-1)-spread of PG(p-1,2) exists iff t | p."""
+    if not 0 < t < p:
+        raise ValueError(f"stage dimension must satisfy 0 < t < p, got t={t}, p={p}")
+    return p % t == 0
+
+
+def overlap_witness(p: int, t1: int, t2: int) -> tuple[Subspace, Subspace]:
+    """Subspaces of dims t1 and t2 on the first t1 and the last t2 coordinates.
+
+    They share only the span of the coordinates in both, so they meet in
+    exactly 2^(t1+t2-p) - 1 effects when t1 + t2 > p, and in none otherwise.
+    """
+    first = Subspace(p=p, basis=tuple(1 << j for j in range(t1)))
+    last = Subspace(p=p, basis=tuple(1 << j for j in range(p - t2, p)))
+    return first, last
 
 
 # ---------------------------------------------------------------- linear system

@@ -16,7 +16,6 @@ import pytest
 
 from rdcss.collineation import (
     StageRequirement,
-    apply,
     apply_to_spread,
     count_feasible,
     find_collineation,
@@ -44,7 +43,7 @@ from rdcss.randomization import (
 )
 from rdcss.spreads import cyclic_spread, mixed_spread
 
-from oracles import all_subspaces_brute, check_gls_equals_ols
+from oracles import all_subspaces_brute, apply, check_gls_equals_ols
 from test_collineation import M6_PAIRS
 from test_spreads import TABLE_P6_T3
 

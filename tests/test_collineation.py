@@ -10,7 +10,6 @@ from rdcss import bitlin
 from rdcss.collineation import (
     Collineation,
     StageRequirement,
-    apply,
     apply_to_spread,
     apply_to_subspace,
     count_feasible,
@@ -21,6 +20,7 @@ from rdcss.geometry import Effect, parse_effect, span
 from rdcss.spreads import cyclic_spread, mixed_spread, partial_spread, verify_spread
 
 from oracles import (
+    apply,
     build_system,
     collineation_from_solution,
     find_collineation_enumerated,

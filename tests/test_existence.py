@@ -1,20 +1,24 @@
 """Closed-form existence numbers, checked against constructions where possible."""
 
+from itertools import combinations_with_replacement
+
 import pytest
 
+from rdcss.cli import _build_spread
+from rdcss.collineation import StageRequirement, find_collineation
 from rdcss.existence import (
     feasibility_report,
     full_spread_count,
-    full_spread_exists,
     mixed_existence,
-    overlap_witness,
     pairwise_min_overlap,
     partial_spread_guarantee,
     partial_spread_upper_bound,
     spread_report,
 )
-from rdcss.geometry import intersect
+from rdcss.geometry import Effect, intersect
 from rdcss.spreads import mixed_spread, partial_spread
+
+from oracles import full_spread_exists, overlap_witness
 
 
 @pytest.mark.parametrize(
@@ -148,6 +152,19 @@ def test_mixed_existence_small_t1_delegates():
     assert "equal-size machinery" in report.rules[0]
 
 
+def test_mixed_existence_beyond_slots_needs_a_point_count():
+    # 17 + 1 stages exceed the 17 slots, yet 48 points lie outside the 4-dim
+    # stage: the slot count bounds nothing, so the question stays open.
+    open_case = mixed_existence(6, 4, (1,) * 17)
+    assert open_case.verdict == "unknown-within-bounds"
+    assert open_case.guaranteed_count == 17
+    assert not any("point count" in rule for rule in open_case.rules)
+    # (5; 3, 2 x 9) needs 7 + 9 * 3 = 34 points, more than the 31 there are.
+    overflow = mixed_existence(5, 3, (2,) * 9)
+    assert overflow.verdict == "exists-with-overlap"
+    assert "point count: the stages hold 34 effects, more than the 31" in overflow.rules[-1]
+
+
 def test_mixed_existence_too_many_stages_overflows_slots():
     report = mixed_existence(5, 3, tuple([2] * 9))
     assert report.guaranteed_count == 9
@@ -212,3 +229,35 @@ def test_report_to_json_round_trip():
     mixed = mixed_existence(7, 4, (4,)).to_json()
     assert mixed["stage_dims"] == [4, 4]
     assert mixed["verdict"] == "exists-with-overlap"
+
+
+def _refused_layouts():
+    """Layouts of 2-3 single-letter stages that the existence rules refuse.
+
+    p in 3..7, t None (stage ranks as dimensions) or 1..p-1, and stage ranks
+    in non-increasing order summing to at most p.
+    """
+    for p in range(3, 8):
+        for t in (None, *range(1, p)):
+            for m in (2, 3):
+                for ranks in combinations_with_replacement(range(p, 0, -1), m):
+                    if sum(ranks) > p:
+                        continue
+                    dims = [t or r for r in ranks]
+                    if feasibility_report(p, tuple(dims)).verdict == "exists-with-overlap":
+                        yield p, t, ranks, dims
+
+
+def test_existence_refusals_are_never_found_by_the_search():
+    # An exit-3 refusal has no override, so each one must be a proof: the
+    # search on the spread that construct would build never finds a design.
+    layouts = list(_refused_layouts())
+    assert len(layouts) == 130
+    for p, t, ranks, dims in layouts:
+        letters = iter(range(p))
+        requirements = [
+            StageRequirement(tuple(Effect(1 << next(letters), p) for _ in range(r)))
+            for r in ranks
+        ]
+        result = find_collineation(_build_spread(p, t, dims, None), requirements)
+        assert result.status != "found", (p, t, ranks)

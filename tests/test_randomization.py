@@ -20,6 +20,7 @@ from rdcss.randomization import (
 
 from oracles import (
     check_gls_equals_ols,
+    contains,
     incidence_matrix,
     lemma1_holds,
     model_matrix,
@@ -214,7 +215,7 @@ def test_group_variance_is_each_effect_variance(two_stage_design):
             effect = Effect(m, two_stage_design.p)
             assert effect_variance(effect, two_stage_design, spec) == group.variance
             for i, sub in enumerate(two_stage_design.stages):
-                assert sub.contains(effect) is (i in group.stage_indices)
+                assert contains(sub, effect) is (i in group.stage_indices)
 
 
 def test_simulate_is_deterministic(splitplot_design):
