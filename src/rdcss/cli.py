@@ -260,9 +260,18 @@ def _construct(args, seed: int):
     """
     if args.budget is not None and args.budget < 0:
         raise ValueError(f"search budget must be non-negative, got {args.budget}")
+    if args.p is not None and args.factors is not None:
+        raise ValueError(
+            "--p and --factors cannot be combined: --p asks for a full design, "
+            "--factors for a fraction"
+        )
     if args.factors is None:
         if args.p is None:
             raise ValueError("construct needs --p (full design) or --factors (fraction)")
+        if args.basic is not None:
+            raise ValueError(
+                "--p and --basic cannot be combined: --basic gives the base of a fraction"
+            )
         if args.p > MAX_CONSTRUCT_P:
             raise ValueError(f"run-matrix export is limited to p <= {MAX_CONSTRUCT_P}")
         r = u = args.p
@@ -296,6 +305,8 @@ def _construct(args, seed: int):
                 basic.append(Effect(e.bits, u))
             elif e.order == 1:
                 ell = e.bits.bit_length() - 1
+                if letter_stage.get(ell) == i:
+                    raise ValueError(f"added factor {e.word} is repeated within stage {i + 1}")
                 if ell in letter_stage:
                     raise ValueError(f"added factor {e.word} appears in two stages")
                 letter_stage[ell] = i

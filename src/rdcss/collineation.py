@@ -151,6 +151,34 @@ def _extend(pivots: dict[int, int], vectors: Iterable[int]) -> dict[int, int] | 
     return extended
 
 
+def _meet_dim(pivots: dict[int, int], basis: Sequence[int]) -> int:
+    """dim(M meet W) for M spanned by basis and W by the pivots.
+
+    That is d + dim W - rank(W, M).  The rank comes from reducing M's basis
+    onto a copy of W's pivots, which are not eliminated again: each basis
+    vector that falls to zero adds one to the meet.
+    """
+    extended = dict(pivots)
+    meet = 0
+    for v in basis:
+        red = bitlin.reduce_vector(v, extended)
+        if red:
+            extended[red.bit_length() - 1] = red
+        else:
+            meet += 1
+    return meet
+
+
+def _independent_subsets(d: int, k: int, r: int) -> int:
+    """r-subsets of a d-space's points independent modulo a k-dimensional subspace.
+
+    The j-th point avoids a (k + j)-dimensional subspace, so there are
+    prod_j (2^d - 2^(k+j)) / r! of them: none when k > d - r.  With k = 0 and
+    d = r this is the number of unordered bases of an r-dimensional space.
+    """
+    return math.prod((1 << d) - (1 << (k + j)) for j in range(r)) // math.factorial(r)
+
+
 def find_collineation(
     spread: Spread,
     requirements: Sequence[StageRequirement],
@@ -166,12 +194,14 @@ def find_collineation(
     chosen member onto a subspace holding its targets, of the same dimension.
     The sources are eliminated stage by stage; a prefix that turns dependent
     is skipped whole, and its candidates are counted as the product of the
-    later stages' subset counts.  When the stage ranks do not sum to p, a
-    leaf is completed with the first independent choice, in lexicographic
-    order, of points from unassigned members, mapped onto the lexicographic
-    target-basis completion; a leaf without one is a failed candidate.  The
-    first leaf with a completion wins, and every candidate up to it counts
-    against max_candidates.
+    later stages' subset counts.  So is a last-stage block whose member M
+    meets the pivots' span W in more than dim M - r dimensions (one rank):
+    none of its r-subsets is independent modulo W.  When the stage ranks do
+    not sum to p, a leaf is completed with the first independent choice, in
+    lexicographic order, of points from unassigned members, mapped onto the
+    lexicographic target-basis completion; a leaf without one is a failed
+    candidate.  The first leaf with a completion wins, and every candidate up
+    to it counts against max_candidates.
     """
     if max_candidates is not None and max_candidates < 0:
         raise ValueError(f"search budget must be non-negative, got {max_candidates}")
@@ -215,6 +245,9 @@ def find_collineation(
         if stage == m:
             yield first, pivots, sources
             return
+        member = spread.members[inj[stage]]
+        if stage == m - 1 and _meet_dim(pivots, member.basis) > member.dim - ranks[stage]:
+            return  # no subset of this block is independent of the pivots
         subsets = combinations(member_points[inj[stage]], ranks[stage])
         for k, subset in enumerate(subsets):
             start = first + k * tail[stage + 1]
@@ -261,15 +294,22 @@ class FeasibilityCount:
 def count_feasible(
     spread: Spread, requirements: Sequence[StageRequirement]
 ) -> FeasibilityCount:
-    """Exhaustively tally feasible candidates for stage requirements.
+    """Exactly tally feasible candidates for stage requirements.
 
     Convention: unordered member m-subsets in member order (the i-th smallest
     member index serves the i-th listed stage), crossed with unordered source
     subsets per stage; a candidate is feasible iff its linear system is
     consistent with invertible solution.  With the p targets jointly
-    independent that holds iff the p chosen sources are independent, which is
-    what the stage-by-stage elimination checks; the equivalence is exercised
-    against the paper's linear-system solve in the test suite.
+    independent that holds iff the p chosen sources are independent, which
+    depends only on the span U of each stage's sources.  So every stage but
+    the last walks the distinct r-dimensional subspaces of its member once,
+    extending the pivots by U's echelon basis and weighting U by its
+    prod_i (2^r - 2^i) / r! unordered bases.  The last stage is closed in one
+    rank: with W the pivots' span, d = dim M and k = dim(M meet W), there are
+    prod_i (2^d - 2^(k+i)) / r! r-subsets of M independent modulo W.  The
+    total is the sum over member subsets of the products of math.comb counts.
+    The test suite holds both numbers equal to the subset-by-subset walk, and
+    that walk to the paper's linear-system solve.
     """
     p = spread.p
     stage_targets, ranks, _ = _validated_requirements(spread, requirements)
@@ -278,28 +318,35 @@ def count_feasible(
     m = len(requirements)
     if any(mem.dim < max(ranks) for mem in spread.members):
         raise ValueError("every spread member must accommodate every stage")
-    member_points = [sorted(mem.point_masks) for mem in spread.members]
-    subset_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    members = spread.members
+    n = len(members)
+    total = sum(
+        math.prod(math.comb(len(members[j]), r) for j, r in zip(combo, ranks))
+        for combo in combinations(range(n), m)
+    )
+    spans: dict[tuple[int, int], list[tuple[int, ...]]] = {}
 
-    def subsets(member: int, k: int) -> list[tuple[int, ...]]:
-        key = (member, k)
-        if key not in subset_cache:
-            subset_cache[key] = list(combinations(member_points[member], k))
-        return subset_cache[key]
+    def subspaces(j: int, r: int) -> list[tuple[int, ...]]:
+        # Echelon bases of the r-dimensional subspaces of member j.
+        if (j, r) not in spans:
+            subsets = combinations(members[j].point_masks, r)
+            bases = {tuple(bitlin.echelon(subset)) for subset in subsets}
+            spans[j, r] = [basis for basis in bases if len(basis) == r]
+        return spans[j, r]
 
-    feasible = 0
-    total = 0
-    for combo in combinations(range(len(spread.members)), m):
-        per_stage = [subsets(combo[i], ranks[i]) for i in range(m)]
-        total += math.prod(len(s) for s in per_stage)
-
-        def walk(stage: int, pivots: dict[int, int]) -> int:
-            hits = 0
-            for subset in per_stage[stage]:
-                extended = _extend(pivots, subset)
+    def walk(stage: int, start: int, pivots: dict[int, int]) -> int:
+        r = ranks[stage]
+        if stage == m - 1:
+            return sum(
+                _independent_subsets(members[j].dim, _meet_dim(pivots, members[j].basis), r)
+                for j in range(start, n)
+            )
+        hits = 0
+        for j in range(start, n - (m - 1 - stage)):
+            for basis in subspaces(j, r):
+                extended = _extend(pivots, basis)
                 if extended is not None:
-                    hits += 1 if stage == m - 1 else walk(stage + 1, extended)
-            return hits
+                    hits += walk(stage + 1, j + 1, extended)
+        return _independent_subsets(r, 0, r) * hits
 
-        feasible += walk(0, {})
-    return FeasibilityCount(feasible=feasible, total=total)
+    return FeasibilityCount(feasible=walk(0, 0, {}), total=total)

@@ -6,13 +6,15 @@ found by brute force over point combinations, a relabeling matrix comes
 from the paper's formulation, a p^2-unknown linear system solved by Gaussian
 elimination, and the statistical layer is restated with the dense n x n
 model and incidence matrices.  Slow but transparently correct at the sizes
-under test.  The one exception is the enumerated relabeling search, kept on
-the package's bit-matrix helpers because it pins the candidate counts and
-matrices of the elimination search, not its arithmetic.
+under test.  The exceptions are the enumerated relabeling search and the
+enumerated feasibility tally, kept on the package's bit-matrix helpers
+because they pin what the elimination search and the subspace-weighted
+tally return (candidate counts, matrices, tallies), not their arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
@@ -23,8 +25,10 @@ import numpy as np
 from rdcss import bitlin
 from rdcss.collineation import (
     Collineation,
+    FeasibilityCount,
     SearchResult,
     StageRequirement,
+    _extend,
     _validated_requirements,
 )
 from rdcss.geometry import Effect, Subspace, span
@@ -385,6 +389,59 @@ def find_collineation_enumerated(
             if coll is not None:
                 return SearchResult("found", coll, inj, tried)
     return SearchResult("infeasible", None, None, tried)
+
+
+# ---------------------------------------------------------------- enumerated tally
+# The feasibility tally as it was first written: every source subset of every
+# stage is reduced against the pivots of the stages before it.  It is the
+# reference for the subspace-weighted count.
+
+
+def count_feasible_enumerated(
+    spread: Spread, requirements: Sequence[StageRequirement]
+) -> FeasibilityCount:
+    """Exhaustively tally feasible candidates for stage requirements.
+
+    Convention: unordered member m-subsets in member order (the i-th smallest
+    member index serves the i-th listed stage), crossed with unordered source
+    subsets per stage; a candidate is feasible iff its linear system is
+    consistent with invertible solution.  With the p targets jointly
+    independent that holds iff the p chosen sources are independent, which is
+    what the stage-by-stage elimination checks; the equivalence is exercised
+    against the paper's linear-system solve in the test suite.
+    """
+    p = spread.p
+    stage_targets, ranks, _ = _validated_requirements(spread, requirements)
+    if sum(ranks) != p:
+        raise ValueError("feasibility counting needs stage ranks summing to p")
+    m = len(requirements)
+    if any(mem.dim < max(ranks) for mem in spread.members):
+        raise ValueError("every spread member must accommodate every stage")
+    member_points = [sorted(mem.point_masks) for mem in spread.members]
+    subset_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+
+    def subsets(member: int, k: int) -> list[tuple[int, ...]]:
+        key = (member, k)
+        if key not in subset_cache:
+            subset_cache[key] = list(combinations(member_points[member], k))
+        return subset_cache[key]
+
+    feasible = 0
+    total = 0
+    for combo in combinations(range(len(spread.members)), m):
+        per_stage = [subsets(combo[i], ranks[i]) for i in range(m)]
+        total += math.prod(len(s) for s in per_stage)
+
+        def walk(stage: int, pivots: dict[int, int]) -> int:
+            hits = 0
+            for subset in per_stage[stage]:
+                extended = _extend(pivots, subset)
+                if extended is not None:
+                    hits += 1 if stage == m - 1 else walk(stage + 1, extended)
+            return hits
+
+        feasible += walk(0, {})
+    return FeasibilityCount(feasible=feasible, total=total)
 
 
 # ---------------------------------------------------------------- dense statistics

@@ -487,6 +487,27 @@ def test_construct_fraction_argument_errors(tmp_path, capsys):
     assert "appears in two stages" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--p", "6", "--basic", "3", "--stage", "A"], "--p and --basic cannot be combined"),
+        (
+            ["--p", "6", "--factors", "8", "--basic", "6", "--t", "2", "--stage", "A"],
+            "--p and --factors cannot be combined",
+        ),
+        (
+            ["--factors", "8", "--basic", "6", "--t", "2", "--stage", "G,G"],
+            "added factor G is repeated within stage 1",
+        ),
+    ],
+    ids=["p-with-basic", "p-with-factors", "letter-repeated-in-stage"],
+)
+def test_construct_refuses_conflicting_words_and_flags(argv, message, tmp_path, capsys):
+    assert main(["construct", *argv, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "design.json").exists()
+
+
 @pytest.mark.parametrize("basic", ["9", "8"])
 def test_construct_fraction_needs_basic_below_factors(
     basic, tmp_path, capsys, within_one_second

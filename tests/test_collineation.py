@@ -1,5 +1,6 @@
 """Relabeling matrices: reference mappings, the linear system, and the search."""
 
+import math
 from itertools import combinations
 
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     apply,
     build_system,
     collineation_from_solution,
+    count_feasible_enumerated,
     find_collineation_enumerated,
     greedy_basis,
     rank_of,
@@ -425,3 +427,61 @@ def test_count_feasible_validation():
     ]
     with pytest.raises(ValueError, match="accommodate"):
         count_feasible(mixed, reqs)
+
+
+def _compositions(p, top):
+    """Ordered rank splits of p into parts of at most top."""
+    if p == 0:
+        return [()]
+    return [(a, *rest) for a in range(1, min(p, top) + 1) for rest in _compositions(p - a, top)]
+
+
+def _tally_size(spread, ranks):
+    points = [len(m) for m in spread.members]
+    return sum(
+        math.prod(math.comb(points[j], r) for j, r in zip(combo, ranks))
+        for combo in combinations(range(len(points)), len(ranks))
+    )
+
+
+# Every split the enumerated tally walks in well under a second: stage ranks
+# summing to p, none above the smallest member.  mixed_spread(5, 3) has one
+# 3-dimensional member and eight 2-dimensional ones, so ranks stop at 2.
+TALLY_CASES = [
+    (spread, ranks)
+    for spread in [
+        cyclic_spread(4, 2),
+        cyclic_spread(6, 2),
+        cyclic_spread(6, 3),
+        partial_spread(5, 2),
+        mixed_spread(5, 3),
+    ]
+    for ranks in _compositions(spread.p, min(m.dim for m in spread.members))
+    if _tally_size(spread, ranks) <= 60000
+]
+
+
+def _requirements(ranks, masks, p):
+    it = iter(masks)
+    return [StageRequirement(tuple(Effect(next(it), p) for _ in range(r))) for r in ranks]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_count_feasible_matches_enumerated_tally(data):
+    spread, ranks = data.draw(st.sampled_from(TALLY_CASES))
+    p = spread.p
+    masks = greedy_basis(data.draw(st.permutations(range(1, 1 << p))))
+    reqs = _requirements(ranks, masks, p)
+    assert count_feasible(spread, reqs) == count_feasible_enumerated(spread, reqs)
+
+
+@pytest.mark.parametrize(
+    "p, t, ranks",
+    [(6, 2, (2, 2, 1, 1)), (6, 3, (3, 2, 1)), (6, 3, (1, 2, 3))],
+)
+def test_count_feasible_matches_enumerated_tally_with_rank_one_stages(p, t, ranks):
+    # Larger splits than the drawn ones: about 0.5 M candidates each.
+    spread = cyclic_spread(p, t)
+    reqs = _requirements(ranks, [1 << j for j in range(p)], p)
+    assert count_feasible(spread, reqs) == count_feasible_enumerated(spread, reqs)

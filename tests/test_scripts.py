@@ -22,6 +22,16 @@ def test_feasibility_fraction_prints_reference_tally(capsys):
     assert "fraction:   0.457143" in out
 
 
+def test_feasibility_fraction_closes_a_p8_split(capsys, within_one_second):
+    # Two rank-4 stages on the (8,4) spread: 136 member pairs, and 840 of each
+    # member's 1365 four-subsets are bases (members meet only in 0).
+    argv = ["--p", "8", "--t", "4", "--stages", "A+B+C+D,E+F+G+H"]
+    assert within_one_second(_script("feasibility_fraction").main, argv) == 0
+    out = capsys.readouterr().out
+    assert "candidates: 253398600" in out
+    assert "feasible:   95961600" in out
+
+
 def test_splitplot_simulation_prints_theoretical_variances(capsys):
     assert _script("splitplot_simulation").main(["--reps", "10", "100"]) == 0
     rows = {line.split()[0]: line.split() for line in capsys.readouterr().out.splitlines()}
