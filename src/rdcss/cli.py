@@ -192,18 +192,18 @@ def _member_words(spread: spreads.Spread) -> list[list[str]]:
 
 
 def cmd_exists(args: argparse.Namespace) -> int:
+    # Three spellings of one stage list: --t T, --stages L and --t1 T1 --t-list L.
     if args.stages:
         dims = tuple(int(x) for x in args.stages.split(","))
-        report = existence.feasibility_report(args.p, dims)
     elif args.t1 is not None:
         if not args.t_list:
             raise ValueError("--t1 needs --t-list with the companion dimensions")
-        dims = tuple(int(x) for x in args.t_list.split(","))
-        report = existence.mixed_existence(args.p, args.t1, dims)
+        dims = (args.t1, *(int(x) for x in args.t_list.split(",")))
     elif args.t is not None:
-        report = existence.spread_report(args.p, args.t)
+        dims = (args.t,)
     else:
         raise ValueError("need one of --t, --stages, or --t1 with --t-list")
+    report = existence.feasibility_report(args.p, dims)
     print(json.dumps(report.to_json(), indent=2))
     return EXIT_OK
 
@@ -664,10 +664,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exists = sub.add_parser("exists", help="existence numbers for stage layouts")
     p_exists.add_argument("--p", type=int, required=True)
-    p_exists.add_argument("--t", type=int, help="single subspace dimension")
+    p_exists.add_argument("--t", type=int, help="one stage of this dimension")
     p_exists.add_argument("--stages", help="comma-separated stage dimensions")
-    p_exists.add_argument("--t1", type=int, help="oversized stage dimension")
-    p_exists.add_argument("--t-list", help="companion dimensions for --t1")
+    p_exists.add_argument("--t1", type=int, help="first stage dimension, before --t-list")
+    p_exists.add_argument("--t-list", help="dimensions of the stages after --t1")
     p_exists.set_defaults(func=cmd_exists)
 
     p_spread = sub.add_parser("spread", help="print a spread as a member-per-column grid")

@@ -64,20 +64,17 @@ def apply_to_subspace(m: Collineation, s: Subspace) -> Subspace:
 
 
 def apply_to_spread(m: Collineation, spread: Spread) -> Spread:
-    """Image spread: members map basis by basis; disjointness and sizes survive."""
+    """Image spread: members map basis by basis; disjointness and sizes survive.
+
+    The image carries no cycle_table: the field-power layout is printed only
+    for the construction itself, never for a relabeled copy.
+    """
     if spread.p != m.p:
         raise ValueError("spread width does not match collineation size")
     if not is_invertible(m):
         raise ValueError("collineation must be invertible")
     members = tuple(apply_to_subspace(m, member) for member in spread.members)
-    cycle = None
-    if spread.cycle_table is not None:
-        rows = list(m.rows)
-        cycle = tuple(
-            tuple(bitlin.apply_rows(rows, x) for x in column)
-            for column in spread.cycle_table
-        )
-    return Spread(p=spread.p, members=members, kind=spread.kind, cycle_table=cycle)
+    return Spread(p=spread.p, members=members, kind=spread.kind)
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
 """Closed-form existence verdicts for disjoint effect-subspace configurations.
 
-All counts are exact integers.  Each number in a report is labeled with the
-rule that produced it: the Andre divisibility condition for full spreads, the
-Eisfeld-Storme partial-spread guarantee, the Govaerts deficiency bound, the
-overlap dimension bound for forced intersections, the double-space section
-construction for one oversized stage, and a point count for more stages than
-that construction has slots.
+``feasibility_report(p, dims)`` answers every question: one dimension is the
+one-stage list ``(t,)``, and an oversized stage with companions is the list
+``(t1, *companions)``.  All counts are exact integers.  Each number in a
+report is labeled with the rule that produced it: the Andre divisibility
+condition for full spreads, the Eisfeld-Storme partial-spread guarantee, the
+Govaerts deficiency bound, the overlap dimension bound for forced
+intersections, the double-space section construction for one oversized
+stage, and a point count for more stages than that construction has slots.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 __all__ = [
     "ExistenceReport",
@@ -18,8 +21,6 @@ __all__ = [
     "pairwise_min_overlap",
     "partial_spread_guarantee",
     "partial_spread_upper_bound",
-    "spread_report",
-    "mixed_existence",
     "feasibility_report",
 ]
 
@@ -30,7 +31,7 @@ class ExistenceReport:
 
     verdict: str  # exists | exists-with-overlap | unknown-within-bounds
     p: int
-    stage_dims: tuple[int, ...] | None
+    stage_dims: tuple[int, ...]
     t: int | None
     guaranteed_count: int | None
     upper_bound: int | None
@@ -44,7 +45,7 @@ class ExistenceReport:
         return {
             "verdict": self.verdict,
             "p": self.p,
-            "stage_dims": list(self.stage_dims) if self.stage_dims else None,
+            "stage_dims": list(self.stage_dims),
             "t": self.t,
             "guarantee": self.guaranteed_count,
             "upper_bound": self.upper_bound,
@@ -115,12 +116,9 @@ def partial_spread_upper_bound(p: int, t: int) -> int:
     return _nominal(p, t) - s_min
 
 
-def _uniform_report(p: int, t: int, stage_dims: tuple[int, ...] | None) -> ExistenceReport:
-    """Andre or Eisfeld-Storme/Govaerts report for stages that all have dim t.
-
-    stage_dims None asks for the member count alone, i.e. for one stage.
-    """
-    m = len(stage_dims) if stage_dims else 1
+def _uniform_report(p: int, t: int, stage_dims: tuple[int, ...]) -> ExistenceReport:
+    """Andre or Eisfeld-Storme/Govaerts report for stages that all have dim t."""
+    m = len(stage_dims)
     if p % t == 0:
         count = full_spread_count(p, t)
         return ExistenceReport(
@@ -160,95 +158,14 @@ def _uniform_report(p: int, t: int, stage_dims: tuple[int, ...] | None) -> Exist
     )
 
 
-def spread_report(p: int, t: int) -> ExistenceReport:
-    """How many pairwise-disjoint subspaces of one dimension fit in PG(p-1,2)."""
-    _check_dim(p, t)
-    return _uniform_report(p, t, None)
-
-
-def mixed_existence(p: int, t1: int, t_list: tuple[int, ...]) -> ExistenceReport:
-    """Slots around one oversized stage via the double-space section construction.
-
-    For p/2 < t1 < p there are 2^t1 + 1 slots: one of dimension t1 and 2^t1 of
-    dimension p - t1, shrinkable to smaller requests.  More stages than slots
-    must overlap only when their points outnumber those of PG(p-1, 2);
-    otherwise the question is left open.  Boundary cases and oversized
-    companions are reported, not raised.
-    """
-    _check_dim(p, t1)
-    for t in t_list:
-        _check_dim(p, t)
-    dims = (t1, *t_list)
-    over = [t for t in t_list if t > p - t1]
-    if over:
-        forced = max((1 << (t1 + t - p)) - 1 for t in over)
-        return ExistenceReport(
-            verdict="exists-with-overlap",
-            p=p,
-            stage_dims=dims,
-            t=None,
-            guaranteed_count=None,
-            upper_bound=None,
-            min_overlap_size=forced,
-            rules=(
-                f"overlap dimension bound: companion dims {over} exceed p-t1={p - t1}, "
-                f"forcing at least {forced} shared effects with the t1 stage",
-            ),
-        )
-    if 2 * t1 == p:
-        count = full_spread_count(p, t1)
-        return ExistenceReport(
-            verdict="exists" if len(dims) <= count else "exists-with-overlap",
-            p=p,
-            stage_dims=dims,
-            t=t1,
-            guaranteed_count=count,
-            upper_bound=count,
-            min_overlap_size=0,
-            rules=(
-                "boundary t1 = p/2: a full (t1-1)-spread exists "
-                f"(Andre divisibility), {count} members",
-            ),
-        )
-    if 2 * t1 < p:
-        report = feasibility_report(p, dims)
-        return replace(
-            report,
-            rules=(f"t1 = {t1} <= p/2: no oversized stage, equal-size machinery applies",)
-            + report.rules,
-        )
-    slots = (1 << t1) + 1
-    rules = (
-        "double-space section construction: 2^t1 + 1 slots "
-        f"(one of dim {t1}, {1 << t1} of dim {p - t1})",
-    )
-    # The slot count comes from one construction and bounds nothing; only a
-    # point count proves that more stages must overlap.
-    points = sum((1 << t) - 1 for t in dims)
-    if len(dims) <= slots:
-        verdict = "exists"
-    elif points > (1 << p) - 1:
-        verdict = "exists-with-overlap"
-        rules += (
-            f"point count: the stages hold {points} effects, "
-            f"more than the {(1 << p) - 1} of PG({p - 1}, 2)",
-        )
-    else:
-        verdict = "unknown-within-bounds"
-    return ExistenceReport(
-        verdict=verdict,
-        p=p,
-        stage_dims=dims,
-        t=None,
-        guaranteed_count=slots,
-        upper_bound=None,
-        min_overlap_size=0,
-        rules=rules,
-    )
-
-
 def feasibility_report(p: int, stage_dims: tuple[int, ...]) -> ExistenceReport:
-    """Route a stage-dimension request to the rule that decides it."""
+    """Whether stages of these dimensions fit in PG(p-1, 2) pairwise disjoint.
+
+    The stages keep the order given.  Forced overlaps are named once per
+    distinct pair of dimensions; equal dimensions go to the spread counts; one
+    stage above p/2 goes to the double-space slots; otherwise the guarantee at
+    the largest dimension decides.
+    """
     if not stage_dims:
         raise ValueError("at least one stage dimension is needed")
     for t in stage_dims:
@@ -257,16 +174,13 @@ def feasibility_report(p: int, stage_dims: tuple[int, ...]) -> ExistenceReport:
     dims = tuple(stage_dims)
     t_max = max(dims)
 
-    overlaps = [
-        (a, b, pairwise_min_overlap(p, dims[a], dims[b]))
-        for a in range(m)
-        for b in range(a + 1, m)
-    ]
+    pairs = dict.fromkeys(tuple(sorted(ab, reverse=True)) for ab in combinations(dims, 2))
+    overlaps = [(a, b, pairwise_min_overlap(p, a, b)) for a, b in pairs]
     worst = max((o for _, _, o in overlaps), default=0)
 
     if worst > 0:
         rules = tuple(
-            f"overlap dimension bound: dims {dims[a]},{dims[b]} sum past p, "
+            f"overlap dimension bound: dims {a},{b} sum past p, "
             f"at least {o} shared effects"
             for a, b, o in overlaps
             if o > 0
@@ -296,11 +210,37 @@ def feasibility_report(p: int, stage_dims: tuple[int, ...]) -> ExistenceReport:
         return _uniform_report(p, t_max, dims)
 
     if 2 * t_max > p:
-        # Only one stage can exceed p/2 here: two such dims would sum past p
-        # and land in the overlap branch above.
-        companions = list(dims)
-        companions.remove(t_max)
-        return mixed_existence(p, t_max, tuple(companions))
+        # One stage above p/2 (two would sum past p): the double-space
+        # sections give 2^t1 + 1 slots, one of dimension t1 and 2^t1 of
+        # dimension p - t1, shrinkable to smaller requests.  The slot count
+        # comes from one construction and bounds nothing; only a point count
+        # proves that more stages must overlap.
+        slots = (1 << t_max) + 1
+        rules = (
+            "double-space section construction: 2^t1 + 1 slots "
+            f"(one of dim {t_max}, {1 << t_max} of dim {p - t_max})",
+        )
+        points = sum((1 << t) - 1 for t in dims)
+        if m <= slots:
+            verdict = "exists"
+        elif points > (1 << p) - 1:
+            verdict = "exists-with-overlap"
+            rules += (
+                f"point count: the stages hold {points} effects, "
+                f"more than the {(1 << p) - 1} of PG({p - 1}, 2)",
+            )
+        else:
+            verdict = "unknown-within-bounds"
+        return ExistenceReport(
+            verdict=verdict,
+            p=p,
+            stage_dims=dims,
+            t=None,
+            guaranteed_count=slots,
+            upper_bound=None,
+            min_overlap_size=0,
+            rules=rules,
+        )
 
     # Unequal dims, none oversized: guarantee at the largest dimension and
     # shrink distinct members for the smaller stages.

@@ -148,6 +148,29 @@ def all_subspaces_brute(p: int, t: int) -> set[frozenset[int]]:
     return found
 
 
+def disjoint_subspaces_fit(p: int, dims: Sequence[int]) -> bool:
+    """Whether pairwise-disjoint subspaces of these dimensions exist, by backtracking."""
+    pools = {
+        t: sorted(sum(1 << x for x in s) for s in all_subspaces_brute(p, t))
+        for t in set(dims)
+    }
+    order = sorted(dims, reverse=True)
+
+    def place(i: int, used: int, start: int) -> bool:
+        if i == len(order):
+            return True
+        pool = pools[order[i]]
+        for j in range(start, len(pool)):
+            if not pool[j] & used:
+                # Equal dimensions take members in increasing order.
+                nxt = j + 1 if i + 1 < len(order) and order[i + 1] == order[i] else 0
+                if place(i + 1, used | pool[j], nxt):
+                    return True
+        return False
+
+    return place(0, 0, 0)
+
+
 # ---------------------------------------------------------------- edge helpers
 # Conveniences that no package code calls: one effect's image, a membership
 # probe, Andre's divisibility test and a pair of subspaces that overlap as

@@ -22,7 +22,7 @@ from rdcss.collineation import (
     is_invertible,
 )
 from rdcss.existence import (
-    mixed_existence,
+    feasibility_report,
     pairwise_min_overlap,
     partial_spread_guarantee,
     partial_spread_upper_bound,
@@ -165,7 +165,7 @@ def test_criterion_6_existence_numbers():
         assert partial_spread_guarantee(8, 3) == 33
         assert partial_spread_upper_bound(8, 3) == 34
         assert partial_spread_guarantee(5, 2) == 9
-        assert mixed_existence(7, 4, (3, 3)).guaranteed_count == 17
+        assert feasibility_report(7, (4, 3, 3)).guaranteed_count == 17
 
 
 def test_criterion_7_brute_force_geometry():

@@ -103,6 +103,33 @@ def test_exists_mixed_route(capsys):
     assert data["guarantee"] == 17
 
 
+def test_exists_t1_at_half_p_is_not_a_proof(capsys):
+    # A line and five points outside it fit in PG(3, 2): the six stages exceed
+    # the five members of the line spread, which proves nothing.
+    assert main(["exists", "--p", "4", "--t1", "2", "--t-list", "1,1,1,1,1"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "unknown-within-bounds"
+    assert data["stage_dims"] == [2, 1, 1, 1, 1, 1]
+
+
+@pytest.mark.parametrize(
+    "spelling, stages",
+    [
+        (["--t", "3"], "3"),
+        (["--t", "4"], "4"),
+        (["--t1", "4", "--t-list", "3,3"], "4,3,3"),
+        (["--t1", "2", "--t-list", "4"], "2,4"),
+        (["--t1", "4", "--t-list", "4"], "4,4"),
+        (["--t1", "3", "--t-list", "2,2,2,2,2,2,2,2,2"], "3,2,2,2,2,2,2,2,2,2"),
+    ],
+)
+def test_exists_spellings_print_the_same_report(capsys, spelling, stages):
+    assert main(["exists", "--p", "7", *spelling]) == 0
+    spelled = capsys.readouterr().out
+    assert main(["exists", "--p", "7", "--stages", stages]) == 0
+    assert capsys.readouterr().out == spelled
+
+
 def test_exists_argument_errors(capsys):
     assert main(["exists", "--p", "6"]) == 2
     assert "need one of" in capsys.readouterr().err
@@ -316,6 +343,11 @@ def test_construct_oracle_infeasible(tmp_path, capsys):
     assert rc == 3
     err = capsys.readouterr().err
     assert "cannot be disjoint" in err
+    # Three dim-3 stages make three pairs but one dimension pair: one rule.
+    argv = ["construct", "--p", "5", "--t", "3", "--stage", "A", "--stage", "B"]
+    rc = main([*argv, "--stage", "C", "--out-dir", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.count("sum past p") == 1
 
 
 def test_construct_search_infeasible(tmp_path, capsys):

@@ -141,9 +141,6 @@ def test_apply_to_spread_preserves_partition(reference_m6, table2_spread):
     image = apply_to_spread(reference_m6, table2_spread)
     check = verify_spread(image)
     assert check.ok and check.full_partition
-    assert image.cycle_table is not None
-    for col, member in zip(image.cycle_table, image.members):
-        assert set(col) == member.point_masks
 
 
 def test_apply_to_spread_rejects_singular_matrix(table2_spread):

@@ -9,16 +9,14 @@ from rdcss.collineation import StageRequirement, find_collineation
 from rdcss.existence import (
     feasibility_report,
     full_spread_count,
-    mixed_existence,
     pairwise_min_overlap,
     partial_spread_guarantee,
     partial_spread_upper_bound,
-    spread_report,
 )
 from rdcss.geometry import Effect, intersect
 from rdcss.spreads import mixed_spread, partial_spread
 
-from oracles import full_spread_exists, overlap_witness
+from oracles import disjoint_subspaces_fit, full_spread_exists, overlap_witness
 
 
 @pytest.mark.parametrize(
@@ -104,7 +102,7 @@ def test_overlap_witness_attains_the_minimum(p, t1, t2):
 
 
 def test_spread_report_full_case():
-    report = spread_report(6, 3)
+    report = feasibility_report(6, (3,))
     assert report.verdict == "exists"
     assert report.guaranteed_count == report.upper_bound == 9
     assert report.min_overlap_size == 0
@@ -112,7 +110,7 @@ def test_spread_report_full_case():
 
 
 def test_spread_report_partial_case():
-    report = spread_report(8, 3)
+    report = feasibility_report(8, (3,))
     assert report.verdict == "exists"
     assert report.guaranteed_count == 33
     assert report.upper_bound == 34
@@ -123,7 +121,7 @@ def test_spread_report_partial_case():
 
 
 def test_mixed_existence_slot_count():
-    report = mixed_existence(7, 4, (3, 3))
+    report = feasibility_report(7, (4, 3, 3))
     assert report.verdict == "exists"
     assert report.guaranteed_count == 17
     assert "2^t1 + 1" in report.rules[0] or "17 slots" in report.rules[0]
@@ -132,41 +130,39 @@ def test_mixed_existence_slot_count():
 
 
 def test_mixed_existence_oversized_companion_reports_overlap():
-    report = mixed_existence(7, 4, (4,))
+    report = feasibility_report(7, (4, 4))
     assert report.verdict == "exists-with-overlap"
     assert report.min_overlap_size == 1
     assert "overlap dimension bound" in report.rules[0]
 
 
 def test_mixed_existence_boundary_half_p():
-    report = mixed_existence(6, 3, (3, 3))
+    report = feasibility_report(6, (3, 3, 3))
     assert report.verdict == "exists"
     assert report.guaranteed_count == 9
-    assert "boundary" in report.rules[0]
 
 
 def test_mixed_existence_small_t1_delegates():
-    report = mixed_existence(9, 3, (3, 3))
+    report = feasibility_report(9, (3, 3, 3))
     assert report.verdict == "exists"
     assert report.guaranteed_count == 73  # (2^9 - 1) / 7
-    assert "equal-size machinery" in report.rules[0]
 
 
 def test_mixed_existence_beyond_slots_needs_a_point_count():
     # 17 + 1 stages exceed the 17 slots, yet 48 points lie outside the 4-dim
     # stage: the slot count bounds nothing, so the question stays open.
-    open_case = mixed_existence(6, 4, (1,) * 17)
+    open_case = feasibility_report(6, (4,) + (1,) * 17)
     assert open_case.verdict == "unknown-within-bounds"
     assert open_case.guaranteed_count == 17
     assert not any("point count" in rule for rule in open_case.rules)
     # (5; 3, 2 x 9) needs 7 + 9 * 3 = 34 points, more than the 31 there are.
-    overflow = mixed_existence(5, 3, (2,) * 9)
+    overflow = feasibility_report(5, (3,) + (2,) * 9)
     assert overflow.verdict == "exists-with-overlap"
     assert "point count: the stages hold 34 effects, more than the 31" in overflow.rules[-1]
 
 
 def test_mixed_existence_too_many_stages_overflows_slots():
-    report = mixed_existence(5, 3, tuple([2] * 9))
+    report = feasibility_report(5, (3,) + (2,) * 9)
     assert report.guaranteed_count == 9
     assert report.verdict == "exists-with-overlap"  # 10 stages, 9 slots
 
@@ -192,6 +188,10 @@ def test_feasibility_forced_overlap():
     assert report.min_overlap_size == 1
     assert report.guaranteed_count == 1 and report.upper_bound == 2
     assert any("overlap dimension bound" in r for r in report.rules)
+    # Three stages form three pairs of one dimension pair: one rule names it.
+    triple = feasibility_report(5, (3, 3, 3))
+    assert triple.min_overlap_size == 1
+    assert sum("overlap dimension bound" in r for r in triple.rules) == 1
 
 
 def test_feasibility_routes_oversized_stage_to_mixed():
@@ -218,15 +218,16 @@ def test_feasibility_validation():
 
 
 def test_report_to_json_round_trip():
-    report = spread_report(8, 3)
+    report = feasibility_report(8, (3,))
     data = report.to_json()
     assert data["verdict"] == "exists"
+    assert data["stage_dims"] == [3]
     assert data["guarantee"] == 33
     assert data["upper_bound"] == 34
     assert data["min_overlap"] == 0
     assert data["k"] == 2 and data["r"] == 2 and data["deficiency"] == 2
     assert isinstance(data["rules"], list) and len(data["rules"]) == 2
-    mixed = mixed_existence(7, 4, (4,)).to_json()
+    mixed = feasibility_report(7, (4, 4)).to_json()
     assert mixed["stage_dims"] == [4, 4]
     assert mixed["verdict"] == "exists-with-overlap"
 
@@ -261,3 +262,18 @@ def test_existence_refusals_are_never_found_by_the_search():
         ]
         result = find_collineation(_build_spread(p, t, dims, None), requirements)
         assert result.status != "found", (p, t, ranks)
+
+
+def test_decided_verdicts_match_a_disjoint_search():
+    # Every verdict that claims to decide the question is checked against an
+    # exhaustive search: p <= 4, one to six stages, dims in non-increasing order.
+    decided = 0
+    for p in range(2, 5):
+        for m in range(1, 7):
+            for dims in combinations_with_replacement(range(p - 1, 0, -1), m):
+                verdict = feasibility_report(p, dims).verdict
+                if verdict == "unknown-within-bounds":
+                    continue
+                decided += 1
+                assert (verdict == "exists") == disjoint_subspaces_fit(p, dims), (p, dims)
+    assert decided == 111
