@@ -78,7 +78,11 @@ def complete_basis(vectors: Iterable[int], n: int) -> list[int]:
     """Extend independent vectors to a full basis of GF(2)^n.
 
     The given vectors come first in their original order; the extension takes
-    the lexicographically smallest masks that keep the set independent.
+    the unit vectors 1 << j, j ascending, that are outside the span so far.
+    That is the lexicographically smallest completion, because the smallest
+    mask outside a span is always a power of two: if m = (1 << j) + r with
+    0 < r < 1 << j were the smallest, 1 << j and r would both lie in the span,
+    and so would their XOR m.
     """
     basis = list(vectors)
     pivots: dict[int, int] = {}
@@ -87,13 +91,11 @@ def complete_basis(vectors: Iterable[int], n: int) -> list[int]:
         if not red:
             raise ValueError("vectors to complete are not independent")
         pivots[red.bit_length() - 1] = red
-    cand = 1
-    while len(basis) < n:
-        red = reduce_vector(cand, pivots)
+    for j in range(n):
+        red = reduce_vector(1 << j, pivots)
         if red:
             pivots[red.bit_length() - 1] = red
-            basis.append(cand)
-        cand += 1
+            basis.append(1 << j)
     return basis
 
 

@@ -25,7 +25,6 @@ from . import bitlin
 from . import collineation as coll
 from . import existence, fractional, spreads
 from .geometry import LETTERS, Effect, Subspace, intersect, mask_word, parse_effect, span
-from .gf2 import FieldPoly
 from .randomization import (
     Design,
     VarianceSpec,
@@ -64,18 +63,19 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
-def _parse_poly(text: str | None, p: int) -> FieldPoly | None:
+def _parse_poly(text: str | None, p: int) -> int | None:
     if text is None:
         return None
     try:
-        mask = int(text, 0)
+        poly = int(text, 0)
     except ValueError:
         raise ValueError(
             f"polynomial must be an integer bit mask such as 0x43, got {text!r}"
         ) from None
-    poly = FieldPoly.from_mask(mask)
-    if poly.degree != p:
-        raise ValueError(f"polynomial degree {poly.degree} does not match p={p}")
+    if poly <= 1:
+        raise ValueError("polynomial mask must encode degree >= 1")
+    if poly.bit_length() - 1 != p:
+        raise ValueError(f"polynomial degree {poly.bit_length() - 1} does not match p={p}")
     return poly
 
 
@@ -121,31 +121,32 @@ def _build_spread(
     p: int,
     t: int | None,
     dims: list[int],
-    poly: FieldPoly | None,
+    poly: int | None,
     partial: bool = True,
 ) -> spreads.Spread:
     """Pick the spread family a request calls for.
 
     Explicit t wins; otherwise uniform stage dimensions choose a full or
     partial spread and one oversized stage routes to the mixed construction.
-    partial=False refuses a t that does not divide p.
+    partial=False refuses a t that does not divide p.  A polynomial is
+    refused unless the spread is the full cyclic one it generates.
     """
+    mixed = t is None and 2 * max(dims) > p and len(set(dims)) > 1
     if t is None:
         t = max(dims)
-        if 2 * t > p and len(set(dims)) > 1:
-            return spreads.mixed_spread(p, t)
-    if not 1 <= t < p:
-        raise ValueError(f"spread dimension must satisfy 1 <= t < p, got t={t}, p={p}")
-    if p % t == 0:
-        return spreads.cyclic_spread(p, t, poly)
-    if not partial:
-        raise ValueError(
-            f"no full ({t - 1})-spread of PG({p - 1}, 2): {t} does not divide "
-            f"{p}; pass --partial for the largest guaranteed partial spread"
-        )
+    if not mixed:
+        if not 1 <= t < p:
+            raise ValueError(f"spread dimension must satisfy 1 <= t < p, got t={t}, p={p}")
+        if p % t == 0:
+            return spreads.cyclic_spread(p, t, poly)
+        if not partial:
+            raise ValueError(
+                f"no full ({t - 1})-spread of PG({p - 1}, 2): {t} does not divide "
+                f"{p}; pass --partial for the largest guaranteed partial spread"
+            )
     if poly is not None:
         raise ValueError("a custom polynomial only applies to a full cyclic spread")
-    return spreads.partial_spread(p, t)
+    return spreads.mixed_spread(p, t) if mixed else spreads.partial_spread(p, t)
 
 
 def _search(
@@ -192,7 +193,10 @@ def _member_words(spread: spreads.Spread) -> list[list[str]]:
 
 
 def cmd_exists(args: argparse.Namespace) -> int:
-    # Three spellings of one stage list: --t T, --stages L and --t1 T1 --t-list L.
+    # Three spellings of one stage list, one per request: --t T, --stages L and
+    # --t1 T1 --t-list L.
+    if args.t_list is not None and args.t1 is None:
+        raise ValueError("--t-list needs --t1 with the first stage dimension")
     if args.stages:
         dims = tuple(int(x) for x in args.stages.split(","))
     elif args.t1 is not None:
@@ -593,6 +597,8 @@ def _load_fraction_spec(text: str) -> fractional.FractionSpec:
 
 
 def cmd_fraction(args: argparse.Namespace) -> int:
+    if args.out_dir and not args.design:
+        raise ValueError("--out-dir writes the runs of a fraction on a design; it needs --design")
     spec = _load_fraction_spec(args.spec)
     subgroup = fractional.defining_subgroup(spec)
     clear = fractional.clear_effects(subgroup)
@@ -664,9 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exists = sub.add_parser("exists", help="existence numbers for stage layouts")
     p_exists.add_argument("--p", type=int, required=True)
-    p_exists.add_argument("--t", type=int, help="one stage of this dimension")
-    p_exists.add_argument("--stages", help="comma-separated stage dimensions")
-    p_exists.add_argument("--t1", type=int, help="first stage dimension, before --t-list")
+    spelling = p_exists.add_mutually_exclusive_group()
+    spelling.add_argument("--t", type=int, help="one stage of this dimension")
+    spelling.add_argument("--stages", help="comma-separated stage dimensions")
+    spelling.add_argument("--t1", type=int, help="first stage dimension, before --t-list")
     p_exists.add_argument("--t-list", help="dimensions of the stages after --t1")
     p_exists.set_defaults(func=cmd_exists)
 

@@ -1,5 +1,8 @@
 """GF(2^p) power tables over a primitive polynomial.
 
+A polynomial is a plain int bit mask: bit k is the coefficient of x^k, so
+x^6 + x + 1 is 0x43 and the degree is mask.bit_length() - 1.
+
 Field elements are coordinate vectors on the basis w^(p-1), ..., w, 1, where w
 is a root of the generating polynomial: coords[0] multiplies w^(p-1) and
 coords[p-1] multiplies 1.  The packed form puts coords[j] in bit j, so the
@@ -9,11 +12,7 @@ to coordinate j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
-
 __all__ = [
-    "FieldPoly",
     "PRIMITIVE_EXPONENTS",
     "default_primitive",
     "is_primitive",
@@ -49,52 +48,11 @@ PRIMITIVE_EXPONENTS: dict[int, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class FieldPoly:
-    """Monic polynomial over GF(2); coeffs[k] multiplies x^k."""
-
-    degree: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise ValueError("polynomial degree must be at least 1")
-        if len(self.coeffs) != self.degree + 1:
-            raise ValueError("coefficient count must be degree + 1")
-        if any(c not in (0, 1) for c in self.coeffs):
-            raise ValueError("coefficients must be 0 or 1")
-        if self.coeffs[self.degree] != 1:
-            raise ValueError("polynomial must be monic")
-
-    @property
-    def mask(self) -> int:
-        """Packed form with bit k = coeffs[k]."""
-        return sum(c << k for k, c in enumerate(self.coeffs))
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "FieldPoly":
-        if mask <= 1:
-            raise ValueError("polynomial mask must encode degree >= 1")
-        degree = mask.bit_length() - 1
-        return cls(degree, tuple((mask >> k) & 1 for k in range(degree + 1)))
-
-    @classmethod
-    def from_exponents(cls, exponents: tuple[int, ...]) -> "FieldPoly":
-        return cls.from_mask(reduce(lambda m, e: m | (1 << e), exponents, 0))
-
-    def __str__(self) -> str:
-        terms = []
-        for k in range(self.degree, -1, -1):
-            if self.coeffs[k]:
-                terms.append("1" if k == 0 else "x" if k == 1 else f"x^{k}")
-        return " + ".join(terms)
-
-
-def default_primitive(p: int) -> FieldPoly:
-    """The table's primitive polynomial of degree p (2 <= p <= 24)."""
+def default_primitive(p: int) -> int:
+    """The table's primitive polynomial of degree p (2 <= p <= 24), as a mask."""
     if p not in PRIMITIVE_EXPONENTS:
         raise ValueError(f"degree {p} out of table range 2..24")
-    return FieldPoly.from_exponents(PRIMITIVE_EXPONENTS[p])
+    return sum(1 << e for e in PRIMITIVE_EXPONENTS[p])
 
 
 def _clmul(a: int, b: int) -> int:
@@ -139,38 +97,30 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def is_primitive(poly: FieldPoly) -> bool:
-    """True iff x has multiplicative order 2^p - 1 modulo poly.
+def is_primitive(poly: int) -> bool:
+    """True iff x has multiplicative order 2^p - 1 modulo poly, p its degree.
 
     Full order forces irreducibility (a reducible quotient has fewer than
-    2^p - 1 units), so this is exactly primitivity.
+    2^p - 1 units), so this is exactly primitivity.  A mask below 2 encodes
+    no polynomial of degree >= 1 and is not primitive.
     """
-    p = poly.degree
-    order = (1 << p) - 1
-    m = poly.mask
-    if _powmod(0b10, order, m) != 1:
+    if poly < 2:
         return False
-    return all(_powmod(0b10, order // q, m) != 1 for q in _prime_factors(order))
+    order = (1 << (poly.bit_length() - 1)) - 1
+    if _powmod(0b10, order, poly) != 1:
+        return False
+    return all(_powmod(0b10, order // q, poly) != 1 for q in _prime_factors(order))
 
 
-def _reversed_low(poly: FieldPoly) -> int:
-    p = poly.degree
-    low = poly.mask & ((1 << p) - 1)
-    rev = 0
-    for k in range(p):
-        rev = (rev << 1) | ((low >> k) & 1)
-    return rev
-
-
-def power_masks(poly: FieldPoly):
-    """Yield packed coords of w^0, w^1, ..., w^(2^p - 2).
+def power_masks(poly: int):
+    """Yield packed coords of w^0, w^1, ..., w^(2^p - 2), p the degree of poly.
 
     In packed coords, multiplying by w is a right shift: bit j holds the
-    w^(p-1-j) coefficient, and the wrapped bit folds back in through the
-    reversed low part of the polynomial.
+    w^(p-1-j) coefficient, and the wrapped bit folds back in through the low
+    part of the polynomial with its p bits reversed.
     """
-    p = poly.degree
-    red = _reversed_low(poly)
+    p = poly.bit_length() - 1
+    red = sum(1 << (p - 1 - k) for k in range(p) if (poly >> k) & 1)
     a = 1 << (p - 1)
     for _ in range((1 << p) - 1):
         yield a

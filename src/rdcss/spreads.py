@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import bitlin
 from .geometry import Subspace, mask_word
-from .gf2 import FieldPoly, default_primitive, is_primitive, power_masks
+from .gf2 import default_primitive, is_primitive, power_masks
 
 __all__ = [
     "Spread",
@@ -40,8 +40,11 @@ class Spread:
     cycle_table: tuple[tuple[int, ...], ...] | None = None
 
 
-def cyclic_spread(p: int, t: int, poly: FieldPoly | None = None) -> Spread:
+def cyclic_spread(p: int, t: int, poly: int | None = None) -> Spread:
     """Full (t-1)-spread of PG(p-1, 2) from the powers of a field generator.
+
+    poly is the bit mask of a primitive polynomial of degree p (bit k is the
+    coefficient of x^k); None takes default_primitive(p).
 
     Member j collects w^(iN + j) for i = 0..2^t - 2 with N = (2^p-1)/(2^t-1);
     consecutive powers of w walk the members cyclically.  Member j is
@@ -56,10 +59,10 @@ def cyclic_spread(p: int, t: int, poly: FieldPoly | None = None) -> Spread:
         )
     if poly is None:
         poly = default_primitive(p)
-    if poly.degree != p:
-        raise ValueError(f"polynomial degree {poly.degree} does not match p={p}")
+    if poly.bit_length() - 1 != p:
+        raise ValueError(f"polynomial degree {poly.bit_length() - 1} does not match p={p}")
     if not is_primitive(poly):
-        raise ValueError(f"{poly} is not primitive")
+        raise ValueError(f"polynomial {poly:#x} is not primitive")
     n_members = ((1 << p) - 1) // ((1 << t) - 1)
     masks = list(power_masks(poly))
     cycle_table = tuple(tuple(masks[j::n_members]) for j in range(n_members))
@@ -72,18 +75,16 @@ def cyclic_spread(p: int, t: int, poly: FieldPoly | None = None) -> Spread:
 def _sections(s: int, k: int, p: int) -> list[Subspace]:
     """Sections of the cyclic (s-1)-spread of GF(2)^2s by the first k coordinates.
 
-    One member is mapped onto the first s coordinates and dropped; every other
+    One member is mapped onto the first s coordinates and dropped: inverting
+    its completed basis sends that basis to the unit vectors.  Every other
     member meets the first-k-coordinates subspace (s <= k <= 2s) in dimension
     exactly k - s.  Eliminating the bits >= k from a member's echelon basis
     leaves the echelon basis of that section.
     """
     big = cyclic_spread(2 * s, s)
-    src = bitlin.complete_basis(big.members[0].basis, 2 * s)
-    dst = bitlin.complete_basis([1 << j for j in range(s)], 2 * s)
-    inv = bitlin.invert(src, 2 * s)
-    if inv is None:
+    rows = bitlin.invert(bitlin.complete_basis(big.members[0].basis, 2 * s), 2 * s)
+    if rows is None:
         raise RuntimeError("construction invariant violated: member basis not invertible")
-    rows = bitlin.matmul(inv, dst)
     out = []
     for other in big.members[1:]:
         image = bitlin.echelon(bitlin.apply_rows(rows, b) for b in other.basis)

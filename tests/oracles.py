@@ -134,6 +134,12 @@ def greedy_basis(vectors) -> list[int]:
     return basis
 
 
+def complete_basis_scan(vectors, n: int) -> list[int]:
+    """Independent vectors completed by scanning 1, 2, 3, ...: each integer
+    outside the span of those kept before it is kept."""
+    return greedy_basis([*vectors, *range(1, 1 << n)])
+
+
 def rank_of(masks) -> int:
     return (len(xor_span(masks)) + 1).bit_length() - 1
 

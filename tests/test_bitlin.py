@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rdcss import bitlin
 
-from oracles import greedy_basis, rank_of, solve, xor_span
+from oracles import complete_basis_scan, greedy_basis, rank_of, solve, xor_span
 
 masks = st.integers(min_value=0, max_value=(1 << 8) - 1)
 mask_lists = st.lists(masks, min_size=0, max_size=8)
@@ -44,7 +44,7 @@ def test_echelon_is_greedy_basis_of_sorted_span(rows):
 
 @given(st.data())
 def test_complete_basis_extends_to_full_rank(data):
-    n = data.draw(st.integers(min_value=1, max_value=8))
+    n = data.draw(st.integers(min_value=1, max_value=12))
     rows = data.draw(
         st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), max_size=n)
     )
@@ -54,6 +54,14 @@ def test_complete_basis_extends_to_full_rank(data):
     assert full[: len(rows)] == rows
     assert len(full) == n
     assert bitlin.rank(full) == n
+    # The unit-vector completion is the one a scan of 1, 2, 3, ... finds.
+    assert full == complete_basis_scan(rows, n)
+
+
+def test_complete_basis_tests_unit_vectors_only(within_one_second):
+    # A scan of 1, 2, 3, ... would test 2^23 integers before reaching 1 << 22.
+    full = within_one_second(bitlin.complete_basis, [1 << 23], 24)
+    assert full == [1 << 23, *(1 << j for j in range(23))]
 
 
 def test_complete_basis_prefers_small_masks():

@@ -137,6 +137,27 @@ def test_exists_argument_errors(capsys):
     assert "--t-list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        ["--stages", "2", "--t1", "5", "--t-list", "1"],
+        ["--t", "3", "--stages", "3"],
+        ["--t", "3", "--t1", "3", "--t-list", "3"],
+    ],
+)
+def test_exists_refuses_two_spellings(spelling, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["exists", "--p", "6", *spelling])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spelling", [["--t", "3"], ["--stages", "3,3"], []])
+def test_exists_t_list_needs_t1(spelling, capsys):
+    assert main(["exists", "--p", "6", *spelling, "--t-list", "1,1"]) == 2
+    assert "--t-list needs --t1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- spread
 
 
@@ -210,6 +231,25 @@ def test_spread_polynomial_errors(capsys):
         == 2
     )
     assert "only applies to a full cyclic spread" in capsys.readouterr().err
+    assert main(["spread", "--p", "6", "--t", "3", "--poly", "0x41"]) == 2
+    assert "polynomial 0x41 is not primitive" in capsys.readouterr().err
+    for mask in ("1", "0", "-5"):
+        assert main(["spread", "--p", "6", "--t", "3", "--poly", mask]) == 2
+        assert "mask must encode degree >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("poly", ["0xff", "0x83"])
+@pytest.mark.parametrize("command", ["transform", "construct"])
+def test_polynomial_refused_on_the_mixed_route(command, poly, tmp_path, capsys):
+    # One 4-dimensional stage at p = 7 routes to the mixed spread, which no
+    # polynomial generates: 0x83 is primitive and 0xff is not.
+    argv = [command, "--p", "7", "--stage", "A,B,C,D:exact", "--stage", "E,F", "--stage", "G"]
+    if command == "construct":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main([*argv, "--poly", poly]) == 2
+    assert "only applies to a full cyclic spread" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+    assert main(argv) == 0
 
 
 # ---------------------------------------------------------------- construct
@@ -870,6 +910,13 @@ def test_fraction_attached_to_design(example5_dir, tmp_path, capsys):
     assert len(rows) == 65
 
 
+def test_fraction_out_dir_needs_design(tmp_path, capsys):
+    spec = json.dumps({"factors": 7, "basic": 6, "generators": {"G": "ABCDEF"}})
+    assert main(["fraction", "--spec", spec, "--out-dir", str(tmp_path)]) == 2
+    assert "needs --design" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fraction_bad_spec(tmp_path, capsys):
     assert main(["fraction", "--spec", "{broken"]) == 2
     assert main(["fraction", "--spec", str(tmp_path / "missing.json")]) == 2
@@ -941,6 +988,82 @@ def test_random_fraction_specs_exit_cleanly(spec, tmp_path_factory):
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         assert main(["fraction", "--spec", json.dumps(spec)]) in (0, 2)
         assert main(["rank", "--candidates", str(path)]) in (0, 2)
+
+
+# ---------------------------------------------------------------- fuzz
+
+# Half of the drawn dimensions lie in the range a valid request uses.
+_ints = st.one_of(st.integers(min_value=1, max_value=8), st.integers(min_value=-2, max_value=10))
+_int_texts = _ints.map(str)
+_int_lists = st.one_of(
+    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=5), st.lists(_ints, max_size=5)
+).map(lambda dims: ",".join(map(str, dims)))
+_junk = st.sampled_from(["", "x", "3,", "0x43", "1e3", "--p"])
+_specs = st.one_of(
+    st.sampled_from(
+        [
+            {"factors": 8, "basic": 6, "generators": {"G": "ABCD", "H": "ABEF"}},
+            {"factors": 7, "basic": 6, "generators": {"G": {"alias": "ABCDEF", "stage": 2}}},
+        ]
+    ),
+    _fraction_specs,
+)
+
+
+def _fuzz_flags(example5_dir, workdir):
+    """Per command: each flag, the chance in tenths that it is given, and a
+    strategy for its value (None for a switch)."""
+    design = str(example5_dir / "design.json")
+    missing = str(workdir / "missing.json")
+    return {
+        "exists": {
+            "--p": (9, st.integers(min_value=-1, max_value=10).map(str)),
+            "--t": (3, _int_texts),
+            "--stages": (3, st.one_of(_int_lists, _junk)),
+            "--t1": (3, _int_texts),
+            "--t-list": (3, st.one_of(_int_lists, _junk)),
+        },
+        "spread": {
+            # p <= 8 keeps every spread small.
+            "--p": (9, st.integers(min_value=-1, max_value=8).map(str)),
+            "--t": (9, _int_texts),
+            "--poly": (5, st.one_of(st.integers(min_value=-2, max_value=1 << 9).map(hex), _junk)),
+            "--partial": (5, None),
+        },
+        "fraction": {
+            "--spec": (9, st.one_of(_specs.map(json.dumps), st.just(missing), _junk)),
+            "--design": (5, st.sampled_from([design, missing, ""])),
+            "--out-dir": (5, st.just(str(workdir / "fraction_out"))),
+            "--coding": (5, st.sampled_from(["01", "pm1", "x"])),
+        },
+        "rank": {
+            "--candidates": (9, st.sampled_from([str(workdir / "fuzz_candidates.json"), missing])),
+            "--criterion": (5, st.sampled_from(["wlp-aberration", "clear-count", "x"])),
+        },
+    }
+
+
+@settings(deadline=None, max_examples=200)
+@given(data=st.data())
+def test_random_argv_exits_cleanly(data, example5_dir, tmp_path_factory):
+    # construct and transform are left out: a rank-deficient stage layout
+    # reaches the unbounded completion of the relabeling search.
+    workdir = tmp_path_factory.getbasetemp()
+    flags = _fuzz_flags(example5_dir, workdir)
+    command = data.draw(st.sampled_from(sorted(flags)))
+    if command == "rank":
+        entries = data.draw(st.lists(_specs, max_size=3))
+        (workdir / "fuzz_candidates.json").write_text(json.dumps(entries))
+    argv = [command]
+    for name, (tenths, value) in [*flags[command].items(), ("--bogus", (1, None))]:
+        if data.draw(st.integers(min_value=0, max_value=9)) < tenths:
+            argv += [name] if value is None else [name, data.draw(value)]
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse refusing the argv
+            rc = exc.code
+    assert rc in (0, 2, 3, 4), argv
 
 
 # ---------------------------------------------------------------- rank

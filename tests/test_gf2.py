@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from rdcss.gf2 import (
     PRIMITIVE_EXPONENTS,
-    FieldPoly,
     default_primitive,
     is_primitive,
     power_masks,
@@ -87,34 +86,25 @@ def test_frobenius_is_additive(p, data):
 
 def test_is_primitive_rejects_irreducible_non_primitive():
     # x^4 + x^3 + x^2 + x + 1 divides x^5 + 1: irreducible, order 5 != 15.
-    assert not is_primitive(FieldPoly.from_mask(0b11111))
+    assert not is_primitive(0b11111)
 
 
 def test_is_primitive_rejects_reducible():
-    assert not is_primitive(FieldPoly.from_mask(0b101))  # (x + 1)^2
-    assert not is_primitive(FieldPoly.from_mask(0b10001))  # (x + 1)^4
-    assert not is_primitive(FieldPoly.from_mask(0b111111))  # divisible by x + 1
+    assert not is_primitive(0b101)  # (x + 1)^2
+    assert not is_primitive(0b10001)  # (x + 1)^4
+    assert not is_primitive(0b111111)  # divisible by x + 1
 
 
-def test_field_poly_validation():
-    with pytest.raises(ValueError, match="degree"):
-        FieldPoly(0, (1,))
-    with pytest.raises(ValueError, match="count"):
-        FieldPoly(2, (1, 1))
-    with pytest.raises(ValueError, match="0 or 1"):
-        FieldPoly(2, (1, 2, 1))
-    with pytest.raises(ValueError, match="monic"):
-        FieldPoly(2, (1, 1, 0))
-    with pytest.raises(ValueError, match="mask"):
-        FieldPoly.from_mask(1)
+def test_is_primitive_rejects_masks_below_two():
+    # 1, 0 and negative ints encode no polynomial of degree >= 1.
+    for mask in (1, 0, -1, -5):
+        assert not is_primitive(mask)
 
 
-def test_field_poly_round_trip_and_str():
-    poly = default_primitive(6)
-    assert poly.mask == 0b1000011
-    assert FieldPoly.from_mask(poly.mask) == poly
-    assert str(poly) == "x^6 + x + 1"
-    assert str(FieldPoly.from_mask(0b111)) == "x^2 + x + 1"
+def test_default_primitive_is_the_table_mask():
+    assert default_primitive(6) == 0x43  # x^6 + x + 1
+    assert default_primitive(16) == 0x1100B  # x^16 + x^12 + x^3 + x + 1
+    assert all(default_primitive(p).bit_length() - 1 == p for p in PRIMITIVE_EXPONENTS)
 
 
 def test_default_primitive_range():
