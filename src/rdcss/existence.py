@@ -5,9 +5,10 @@ one-stage list ``(t,)``, and an oversized stage with companions is the list
 ``(t1, *companions)``.  All counts are exact integers.  Each number in a
 report is labeled with the rule that produced it: the Andre divisibility
 condition for full spreads, the Eisfeld-Storme partial-spread guarantee, the
-Govaerts deficiency bound, the overlap dimension bound for forced
-intersections, the double-space section construction for one oversized
-stage, and a point count for more stages than that construction has slots.
+Govaerts deficiency bound (the dimension bound of one member when 2t > p),
+the overlap dimension bound for forced intersections, the double-space
+section construction for one oversized stage, and a point count for more
+stages than that construction has slots.
 """
 
 from __future__ import annotations
@@ -105,8 +106,14 @@ def partial_spread_guarantee(p: int, t: int) -> int:
 
 
 def partial_spread_upper_bound(p: int, t: int) -> int:
-    """Govaerts deficiency bound on the size of any partial (t-1)-spread."""
+    """Upper bound on the size of any partial (t-1)-spread.
+
+    When 2t > p any two t-dimensional subspaces meet (dimension formula), so
+    at most one member is disjoint; otherwise the Govaerts deficiency bound.
+    """
     k, r = _split(p, t)
+    if 2 * t > p:
+        return 1
     if r == 1:
         s_min = 1
     elif t >= 2 * r:
@@ -153,7 +160,12 @@ def _uniform_report(p: int, t: int, stage_dims: tuple[int, ...]) -> ExistenceRep
         deficiency=_nominal(p, t) - upper,
         rules=(
             f"Eisfeld-Storme guarantee: {guarantee} disjoint members",
-            f"Govaerts deficiency bound: at most {upper} disjoint members",
+            (
+                f"dimension bound: two {t}-dimensional subspaces meet when 2t > p, "
+                "at most 1 disjoint member"
+                if 2 * t > p
+                else f"Govaerts deficiency bound: at most {upper} disjoint members"
+            ),
         ),
     )
 

@@ -5,6 +5,10 @@ restricts the run order through the batches of a defining contrast subspace
 S_i.  Batch errors inflate the variance of exactly the effect estimators
 whose contrast lies in S_i, which is what makes separate half-normal plots
 per variance group necessary.
+
+The layer works on arrays over the 2^p effect masks: X'v is a Walsh-Hadamard
+transform, variance_groups sorts one stage-membership code per mask, and
+halfnormal_emit returns each group's plot coordinates as columns.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .geometry import Effect, Subspace, mask_word
+from .geometry import Effect, Subspace
 
 __all__ = [
     "Design",
     "VarianceSpec",
     "VarianceGroup",
     "VarianceReport",
-    "HalfNormalRow",
+    "HalfNormalTable",
     "batch_indices",
     "check_lemma1",
     "check_orthogonal",
@@ -182,6 +186,17 @@ class VarianceReport:
     notes: tuple[str, ...]
 
 
+def _membership_codes(design: Design) -> np.ndarray:
+    """Stage-membership code of every mask: bit i is set when it lies in stage i.
+
+    The codes are int64 for up to 63 stages and Python ints beyond.
+    """
+    codes = np.zeros(design.n, dtype=np.int64 if len(design.stages) < 64 else object)
+    for i, s in enumerate(design.stages):
+        codes[np.fromiter(s.point_masks, dtype=np.int64, count=len(s))] |= 1 << i
+    return codes
+
+
 def variance_groups(design: Design, spec: VarianceSpec | None = None) -> VarianceReport:
     """Group effects by T_E; flags mark small and mixed-variance groups.
 
@@ -191,12 +206,19 @@ def variance_groups(design: Design, spec: VarianceSpec | None = None) -> Varianc
     """
     if spec is not None:
         _check_spec(design, spec)
-    by_t: dict[tuple[int, ...], list[int]] = {}
-    for bits in range(1, design.n):
-        by_t.setdefault(_membership(design, bits), []).append(bits)
+    # A stable sort keeps each group's masks ascending.
+    codes = _membership_codes(design)[1:]
+    order = np.argsort(codes, kind="stable")
+    distinct, starts = np.unique(codes[order], return_index=True)
+    masks = (order + 1).tolist()
+    bounds = [*starts.tolist(), len(masks)]
+    by_t = {
+        tuple(i for i in range(len(design.stages)) if code >> i & 1): tuple(masks[a:b])
+        for code, a, b in zip(distinct.tolist(), bounds, bounds[1:])
+    }
     groups = []
     for t_e in sorted(by_t, key=lambda t: (t == (), len(t), t)):
-        masks = tuple(by_t[t_e])
+        masks = by_t[t_e]
         flags = []
         if len(masks) < 7:
             flags.append("small group: fewer than 7 effects for a half-normal plot")
@@ -258,36 +280,36 @@ def simulate(
     return _walsh_hadamard(y) / n
 
 
-@dataclass(frozen=True)
-class HalfNormalRow:
+@dataclass(frozen=True, eq=False)
+class HalfNormalTable:
+    """Half-normal plot coordinates of one variance group, held as columns.
+
+    masks sort by (|estimate|, mask); abs_estimates and quantiles run
+    alongside them.
+    """
+
     group: str
-    effect: str
-    abs_estimate: float
-    quantile: float
+    masks: np.ndarray
+    abs_estimates: np.ndarray
+    quantiles: np.ndarray
 
 
 def halfnormal_emit(
     estimates: np.ndarray, report: VarianceReport
-) -> tuple[HalfNormalRow, ...]:
+) -> tuple[HalfNormalTable, ...]:
     """Half-normal plot coordinates, one table per variance group.
 
     estimates holds one value per effect mask (entry 0, the mean, is unused).
     Within a group of size g, masks sort by (|estimate|, mask) and rank k
     pairs with the quantile Phi^-1((k - 0.5 + g) / (2g)).
     """
-    values = np.abs(np.asarray(estimates, dtype=float).ravel()).tolist()
+    values = np.abs(np.asarray(estimates, dtype=float).ravel())
     inv_cdf = NormalDist().inv_cdf
-    rows: list[HalfNormalRow] = []
+    tables = []
     for group in report.groups:
-        g = len(group.masks)
-        ordered = sorted(group.masks, key=lambda m: (values[m], m))
-        for k, m in enumerate(ordered, start=1):
-            rows.append(
-                HalfNormalRow(
-                    group=group.label,
-                    effect=mask_word(m),
-                    abs_estimate=values[m],
-                    quantile=inv_cdf((k - 0.5 + g) / (2 * g)),
-                )
-            )
-    return tuple(rows)
+        masks = np.asarray(group.masks, dtype=np.int64)
+        masks = masks[np.lexsort((masks, values[masks]))]
+        g = len(masks)
+        quantiles = np.array([inv_cdf((k - 0.5 + g) / (2 * g)) for k in range(1, g + 1)])
+        tables.append(HalfNormalTable(group.label, masks, values[masks], quantiles))
+    return tuple(tables)

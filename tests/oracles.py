@@ -10,6 +10,8 @@ under test.  The exceptions are the enumerated relabeling search and the
 enumerated feasibility tally, kept on the package's bit-matrix helpers
 because they pin what the elimination search and the subspace-weighted
 tally return (candidate counts, matrices, tallies), not their arithmetic.
+The variance grouping and the half-normal rows are the per-mask loops the
+array code replaced, kept to pin its output.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from statistics import NormalDist
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -31,8 +34,8 @@ from rdcss.collineation import (
     _extend,
     _validated_requirements,
 )
-from rdcss.geometry import Effect, Subspace, span
-from rdcss.randomization import Design, VarianceSpec
+from rdcss.geometry import Effect, Subspace, mask_word, span
+from rdcss.randomization import Design, VarianceGroup, VarianceReport, VarianceSpec
 from rdcss.spreads import Spread
 
 # ---------------------------------------------------------------- GF(2)[x]
@@ -566,3 +569,63 @@ def check_gls_equals_ols(
     ols = (x.T @ y) / n
     scale = max(1.0, float(np.linalg.norm(ols)))
     return float(np.linalg.norm(gls - ols)) / scale < tol
+
+
+# ---------------------------------------------------------------- variance groups
+# One membership probe per mask and stage, and one row per effect.
+
+
+def variance_groups_loop(design: Design, spec: VarianceSpec | None = None) -> VarianceReport:
+    """Effects grouped by the set of stages containing them, probed mask by mask.
+
+    Groups order by (unbatched last, stage count, stage indices); each
+    group's masks ascend.  Flags and notes read as in the package.
+    """
+    by_t: dict[tuple[int, ...], list[int]] = {}
+    for bits in range(1, design.n):
+        t_e = tuple(i for i, s in enumerate(design.stages) if bits in s.point_masks)
+        by_t.setdefault(t_e, []).append(bits)
+    groups = []
+    for t_e in sorted(by_t, key=lambda t: (t == (), len(t), t)):
+        masks = tuple(by_t[t_e])
+        flags = []
+        if len(masks) < 7:
+            flags.append("small group: fewer than 7 effects for a half-normal plot")
+        if len(t_e) >= 2:
+            flags.append(
+                "overlap: variance sums several stage components; "
+                "significance assessment lacks a clean reference group"
+            )
+        var = None
+        if spec is not None:
+            var = spec.sigma2 / design.n
+            for i in t_e:
+                var += (
+                    (1 << (design.p - design.stages[i].dim)) / design.n
+                ) * spec.stage_variances[i]
+        groups.append(VarianceGroup(t_e, masks, var, tuple(flags)))
+    notes = tuple(
+        f"stages {i + 1} and {j + 1} use the same subspace; their variance components add"
+        for i, j in combinations(range(len(design.stages)), 2)
+        if design.stages[i].point_masks == design.stages[j].point_masks
+    )
+    return VarianceReport(groups=tuple(groups), notes=notes)
+
+
+def halfnormal_rows(estimates, report: VarianceReport) -> list[tuple[str, str, float, float]]:
+    """(group, effect word, |estimate|, quantile) per effect, group by group.
+
+    Within a group of size g, masks sort by (|estimate|, mask) and rank k
+    pairs with Phi^-1((k - 0.5 + g) / (2g)).
+    """
+    values = np.abs(np.asarray(estimates, dtype=float).ravel()).tolist()
+    inv_cdf = NormalDist().inv_cdf
+    rows = []
+    for group in report.groups:
+        g = len(group.masks)
+        ordered = sorted(group.masks, key=lambda m: (values[m], m))
+        for k, m in enumerate(ordered, start=1):
+            rows.append(
+                (group.label, mask_word(m), values[m], inv_cdf((k - 0.5 + g) / (2 * g)))
+            )
+    return rows

@@ -161,7 +161,7 @@ def test_criterion_5_mixed_construction():
 def test_criterion_6_existence_numbers():
     with criterion(6, 1.0, "closed-form existence and overlap numbers"):
         assert pairwise_min_overlap(5, 3, 3) == 1
-        assert partial_spread_upper_bound(5, 3) == 2
+        assert partial_spread_upper_bound(5, 3) == 1
         assert partial_spread_guarantee(8, 3) == 33
         assert partial_spread_upper_bound(8, 3) == 34
         assert partial_spread_guarantee(5, 2) == 9

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdcss.cli import load_design, main, verification_payload
+from rdcss.cli import build_parser, load_design, main, verification_payload
 from rdcss.geometry import parse_effect, span
 
 from test_spreads import TABLE_P6_T3
@@ -776,6 +776,31 @@ def test_simulate_beta_recovery(example5_dir, tmp_path):
     assert by_word["A"] == pytest.approx(1.5)
     assert by_word["CDE"] == pytest.approx(-0.75)
     assert sum(abs(v) for v in data) == pytest.approx(2.25)
+
+
+def test_cached_parser_keeps_list_flags_per_call(tmp_path, capsys):
+    # The parser is built once; each call's --stage, --stage-var and --beta
+    # lists must start empty all the same.
+    assert build_parser() is build_parser()
+    one, two = tmp_path / "one", tmp_path / "two"
+    argv = ["construct", "--p", "6", "--stage", "A,B", "--stage", "D"]
+    assert main([*argv, "--out-dir", str(one)]) == 0
+    assert main(["construct", "--p", "6", "--stage", "C", "--out-dir", str(two)]) == 0
+    for out, want in ((one, [["A", "B"], ["D"]]), (two, [["C"]])):
+        stages = json.loads((out / "design.json").read_text())["stages"]
+        assert [st["required"] for st in stages] == want
+    noise_free = ["--sigma2", "0", "--reps", "1"]
+    argv = ["simulate", "--design", str(one / "design.json"), *noise_free]
+    argv += ["--stage-var", "0", "--stage-var", "0", "--beta", "A=1.5"]
+    assert main([*argv, "--out-dir", str(one)]) == 0
+    argv = ["simulate", "--design", str(two / "design.json"), *noise_free]
+    argv += ["--stage-var", "0", "--beta", "BC=-2"]
+    assert main([*argv, "--out-dir", str(two)]) == 0
+    for out, want in ((one, {"A": 1.5}), (two, {"BC": -2.0})):
+        with (out / "estimates.csv").open() as fh:
+            header, row = list(csv.reader(fh))
+        got = {w: float(v) for w, v in zip(header, row) if float(v)}
+        assert got == pytest.approx(want)
 
 
 def test_simulate_stage_var_count_mismatch(example5_dir, tmp_path, capsys):

@@ -47,10 +47,21 @@ def test_partial_spread_guarantee_values(p, t, guarantee):
 
 
 @pytest.mark.parametrize(
-    "p, t, bound", [(8, 3, 34), (5, 3, 2), (5, 2, 9), (7, 3, 17)]
+    "p, t, bound", [(8, 3, 34), (5, 3, 1), (5, 2, 9), (7, 3, 17)]
 )
 def test_partial_spread_upper_bound_values(p, t, bound):
     assert partial_spread_upper_bound(p, t) == bound
+
+
+def test_upper_bound_is_one_when_two_members_must_meet():
+    # 2t > p: any two t-dimensional subspaces share a point.
+    assert partial_spread_upper_bound(7, 4) == 1
+    report = feasibility_report(7, (4,))
+    assert report.verdict == "exists"
+    assert report.guaranteed_count == report.upper_bound == 1
+    assert report.deficiency == 7
+    assert report.rules[-1].startswith("dimension bound:")
+    assert not any("Govaerts" in rule for rule in report.rules)
 
 
 def test_guarantee_matches_constructed_partial_spreads():
@@ -186,7 +197,7 @@ def test_feasibility_forced_overlap():
     report = feasibility_report(5, (3, 3))
     assert report.verdict == "exists-with-overlap"
     assert report.min_overlap_size == 1
-    assert report.guaranteed_count == 1 and report.upper_bound == 2
+    assert report.guaranteed_count == 1 and report.upper_bound == 1
     assert any("overlap dimension bound" in r for r in report.rules)
     # Three stages form three pairs of one dimension pair: one rule names it.
     triple = feasibility_report(5, (3, 3, 3))

@@ -1,8 +1,11 @@
-"""Golden bytes: construct requests whose written files are pinned by sha256.
+"""Golden bytes: construct and simulate requests whose files are pinned by sha256.
 
-Each request's design.json, runs.csv and verification.json must hash to the
-digests recorded here, so any change to the construction, the search order,
-the payload layout or the run-sheet format shows up as a changed digest.
+Each construct request's design.json, runs.csv and verification.json must
+hash to the digests recorded here, so any change to the construction, the
+search order, the payload layout or the run-sheet format shows up as a
+changed digest.  Each simulate request runs on a design constructed into a
+fixed relative path (summary.json records that path), and its estimates.csv,
+halfnormal.csv and summary.json are pinned the same way.
 """
 
 import hashlib
@@ -82,6 +85,50 @@ def test_construct_writes_golden_bytes(name, tmp_path, monkeypatch, capsys):
     assert main(["construct", *argv, "--out-dir", str(tmp_path)]) == 0
     got = {
         file: hashlib.sha256((tmp_path / file).read_bytes()).hexdigest()
+        for file in digests
+    }
+    assert got == digests
+
+
+FIVE_STAGES_P10 = ["--p", "10", "--t", "2"] + [
+    arg for pair in ("A,B", "C,D", "E,F", "G,H", "I,J") for arg in ("--stage", pair)
+]
+
+SIMULATE_GOLDEN = {
+    "splitlot_p6": (
+        ["--p", "6", "--stage", "ABC,BDE,CEF:exact", "--stage", "A,B", "--stage", "D"],
+        ["--sigma2", "1.5", "--stage-var", "4", "--stage-var", "2.5", "--stage-var", "0.75"]
+        + ["--beta", "A=2", "--beta", "BC=-1.25", "--reps", "16", "--seed", "11"],
+        {
+            "estimates.csv": "c0eabee16b29baed84b3adf89000796fbcb9efb36d2432203940ca26a10b8748",
+            "halfnormal.csv": "f6400b9b8c108eed25bf8b922ef59f6d289d88e6238f41063edd3d3b7d82faf6",
+            "summary.json": "8d595f0bcafcac5f4dfdaf0a203bebcecddc2c8a154d3c3ecded891323fe87d5",
+        },
+    ),
+    "five_stages_p10": (
+        FIVE_STAGES_P10,
+        ["--sigma2", "0.8"]
+        + [arg for v in ("3", "1.5", "0", "2.25", "5") for arg in ("--stage-var", v)]
+        + ["--beta", "ABJ=1.5", "--reps", "8", "--seed", "7"],
+        {
+            "estimates.csv": "dacbd30a2e8c8b740dea9de8a910c32e8a7c75cf23dd2d45bd0e90b28de2b12e",
+            "halfnormal.csv": "2862b3f6b7c189e3df514965ca450dd72043ade5a59945d8c8a9f44c5077e9b9",
+            "summary.json": "bb4648d6d772bcafcea46a021a46c08c2750f5ae6b7f8f28d25a3b505581bd0a",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SIMULATE_GOLDEN))
+def test_simulate_writes_golden_bytes(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("RDCSS_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    construct_argv, simulate_argv, digests = SIMULATE_GOLDEN[name]
+    assert main(["construct", *construct_argv, "--out-dir", "design"]) == 0
+    argv = ["simulate", "--design", "design/design.json", *simulate_argv]
+    assert main([*argv, "--out-dir", "out"]) == 0
+    got = {
+        file: hashlib.sha256((tmp_path / "out" / file).read_bytes()).hexdigest()
         for file in digests
     }
     assert got == digests

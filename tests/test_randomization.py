@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
-from rdcss.geometry import Effect, Subspace, parse_effect, span
+from rdcss import bitlin
+from rdcss.geometry import Effect, Subspace, mask_word, parse_effect, span
 from rdcss.randomization import (
     Design,
     VarianceSpec,
@@ -22,9 +25,11 @@ from oracles import (
     check_gls_equals_ols,
     contains,
     incidence_matrix,
+    halfnormal_rows,
     lemma1_holds,
     model_matrix,
     simulate_dense,
+    variance_groups_loop,
 )
 
 
@@ -299,38 +304,101 @@ def test_halfnormal_quantiles_match_scipy(two_stage_design):
     report = variance_groups(two_stage_design, spec)
     rng = np.random.default_rng(3)
     estimates = rng.normal(size=32)
-    rows = halfnormal_emit(estimates, report)
-    assert len(rows) == 31
-    by_group: dict[str, list] = {}
-    for row in rows:
-        by_group.setdefault(row.group, []).append(row)
-    assert {g: len(v) for g, v in by_group.items()} == {
-        "rest": 21,
-        "s1": 3,
-        "s2": 7,
-    }
-    for label, group_rows in by_group.items():
-        g = len(group_rows)
+    tables = halfnormal_emit(estimates, report)
+    assert [t.group for t in tables] == ["s1", "s2", "rest"]
+    assert [len(t.masks) for t in tables] == [3, 7, 21]
+    for table, group in zip(tables, report.groups):
+        g = len(table.masks)
+        assert sorted(table.masks.tolist()) == list(group.masks)
         # Sorted ascending by |estimate| with scipy-checked quantiles.
-        ests = [r.abs_estimate for r in group_rows]
-        assert ests == sorted(ests)
-        for k, row in enumerate(group_rows, start=1):
-            want = norm.ppf((k - 0.5 + g) / (2 * g))
-            assert row.quantile == pytest.approx(want, abs=1e-12)
+        assert np.array_equal(table.abs_estimates, np.abs(estimates[table.masks]))
+        assert np.all(np.diff(table.abs_estimates) >= 0)
+        k = np.arange(1, g + 1)
+        assert np.allclose(table.quantiles, norm.ppf((k - 0.5 + g) / (2 * g)), atol=1e-12)
     # Estimate values survive the |.| map.
-    a_row = next(r for r in rows if r.effect == "A")
-    assert a_row.abs_estimate == pytest.approx(abs(estimates[1]))
+    s1 = tables[0]
+    a = s1.masks.tolist().index(_e("A").bits)
+    assert s1.abs_estimates[a] == pytest.approx(abs(estimates[1]))
 
 
 def test_halfnormal_ties_break_on_mask(splitplot_design):
     report = variance_groups(splitplot_design, VarianceSpec(1.0, (1.0,)))
     estimates = np.array([float(bits % 5 - 2) for bits in range(32)])
-    rows = halfnormal_emit(estimates, report)
-    assert len(rows) == 31
-    assert all(r.abs_estimate >= 0 for r in rows)
+    tables = halfnormal_emit(estimates, report)
+    assert sum(len(t.masks) for t in tables) == 31
+    assert all(np.all(t.abs_estimates >= 0) for t in tables)
     # Equal |estimate| ties, sign ties included, list in ascending mask order.
-    s1 = [r.effect for r in rows if r.group == "s1"]
-    assert s1 == ["B", "A", "AB"]
-    rest = [r.effect for r in rows if r.group == "rest"]
-    assert rest[:5] == ["ABC", "CD", "AE", "BCE", "ABDE"]
-    assert halfnormal_emit(estimates, report) == rows
+    words = {t.group: [mask_word(m) for m in t.masks.tolist()] for t in tables}
+    assert words["s1"] == ["B", "A", "AB"]
+    assert words["rest"][:5] == ["ABC", "CD", "AE", "BCE", "ABDE"]
+    again = halfnormal_emit(estimates, report)
+    for a, b in zip(tables, again):
+        assert a.group == b.group
+        assert np.array_equal(a.masks, b.masks)
+        assert np.array_equal(a.abs_estimates, b.abs_estimates)
+        assert np.array_equal(a.quantiles, b.quantiles)
+
+
+@st.composite
+def designs(draw):
+    """Designs with p <= 8 and 1-4 stages; stages may overlap or repeat."""
+    p = draw(st.integers(2, 8))
+    stages: list[Subspace] = []
+    for _ in range(draw(st.integers(1, 4))):
+        if stages and draw(st.booleans()):
+            stages.append(draw(st.sampled_from(stages)))
+            continue
+        gens = draw(st.lists(st.integers(1, (1 << p) - 1), min_size=1, max_size=p - 1))
+        stages.append(Subspace(p=p, basis=tuple(bitlin.echelon(gens))))
+    return Design(p=p, stages=tuple(stages))
+
+
+@settings(max_examples=50, deadline=None)
+@given(design=designs(), data=st.data())
+def test_variance_layer_matches_the_per_mask_loops(design, data):
+    spec = VarianceSpec(
+        1.0, tuple(float(i + 1) for i in range(len(design.stages)))
+    )
+    report = variance_groups(design, spec)
+    assert report == variance_groups_loop(design, spec)
+    assert variance_groups(design) == variance_groups_loop(design)
+    # Rounded draws make ties in |estimate| common.
+    values = data.draw(
+        st.lists(st.integers(-3, 3), min_size=design.n, max_size=design.n)
+    )
+    estimates = np.array(values, dtype=float) / 2
+    rows = [
+        (t.group, mask_word(m), a, q)
+        for t in halfnormal_emit(estimates, report)
+        for m, a, q in zip(t.masks.tolist(), t.abs_estimates.tolist(), t.quantiles.tolist())
+    ]
+    assert rows == halfnormal_rows(estimates, report)
+
+
+def test_variance_groups_past_63_stages():
+    # 127 one-point stages at p = 7: membership codes outgrow int64.
+    design = Design(p=7, stages=tuple(Subspace(p=7, basis=(m,)) for m in range(1, 128)))
+    spec = VarianceSpec(1.0, (0.5,) * 127)
+    report = variance_groups(design, spec)
+    assert report == variance_groups_loop(design, spec)
+    assert [g.masks for g in report.groups] == [(m,) for m in range(1, 128)]
+
+
+def test_variance_layer_at_p18(within_one_second):
+    # Three disjoint rank-6 stages; 2^18 - 1 effects in four groups.
+    stages = tuple(
+        Subspace(p=18, basis=tuple(1 << j for j in range(k, k + 6))) for k in (0, 6, 12)
+    )
+    design = Design(p=18, stages=stages)
+    estimates = np.random.default_rng(18).normal(size=design.n)
+
+    def layer():
+        report = variance_groups(design, VarianceSpec(1.0, (1.0, 2.0, 3.0)))
+        return report, halfnormal_emit(estimates, report)
+
+    report, tables = within_one_second(layer)
+    assert [len(g.masks) for g in report.groups] == [63, 63, 63, (1 << 18) - 1 - 189]
+    assert [t.group for t in tables] == ["s1", "s2", "s3", "rest"]
+    rest = tables[-1]
+    assert np.all(np.diff(rest.abs_estimates) >= 0)
+    assert rest.quantiles[0] > 0 and np.all(np.diff(rest.quantiles) > 0)
