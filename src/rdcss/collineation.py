@@ -48,9 +48,6 @@ class Collineation:
     def identity(cls, p: int) -> "Collineation":
         return cls(p, tuple(1 << j for j in range(p)))
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
 
 def is_invertible(m: Collineation) -> bool:
     """True iff the matrix has full GF(2) rank."""
@@ -141,10 +138,8 @@ def _extend(pivots: dict[int, int], vectors: Iterable[int]) -> dict[int, int] | 
     """Pivot rows extended by vectors, or None if a vector falls in their span."""
     extended = dict(pivots)
     for v in vectors:
-        red = bitlin.reduce_vector(v, extended)
-        if not red:
+        if not bitlin.insert(extended, v):
             return None
-        extended[red.bit_length() - 1] = red
     return extended
 
 
@@ -158,10 +153,7 @@ def _meet_dim(pivots: dict[int, int], basis: Sequence[int]) -> int:
     extended = dict(pivots)
     meet = 0
     for v in basis:
-        red = bitlin.reduce_vector(v, extended)
-        if red:
-            extended[red.bit_length() - 1] = red
-        else:
+        if not bitlin.insert(extended, v):
             meet += 1
     return meet
 

@@ -18,9 +18,7 @@ __all__ = [
     "MAX_FACTORS",
     "Effect",
     "parse_effect",
-    "rank",
     "span",
-    "subspace_from_points",
     "intersect",
     "Subspace",
 ]
@@ -88,21 +86,6 @@ def parse_effect(word: str, p: int) -> Effect:
     return Effect(bits, p)
 
 
-def _same_space(effects: Sequence[Effect]) -> int:
-    ps = {e.p for e in effects}
-    if len(ps) != 1:
-        raise ValueError("effects live in different factor counts")
-    return ps.pop()
-
-
-def rank(effects: Sequence[Effect]) -> int:
-    """GF(2) rank of a list of effects."""
-    if not effects:
-        return 0
-    _same_space(effects)
-    return bitlin.rank(e.bits for e in effects)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A t-dimensional subspace of effects, held as t independent basis masks.
@@ -111,8 +94,7 @@ class Subspace:
     is what design files record.  span keeps its generators in order; spread
     members and intersections carry the reduced echelon basis
     (bitlin.echelon), which equals the greedy basis of the sorted points.
-    The 2^t - 1 points are built on first access: point_masks as a set,
-    points as Effects in ascending order.
+    The 2^t - 1 points are built on first access, as the set point_masks.
     """
 
     p: int
@@ -129,10 +111,6 @@ class Subspace:
             masks += [x ^ g for x in masks]
         return frozenset(masks[1:])
 
-    @cached_property
-    def points(self) -> tuple[Effect, ...]:
-        return tuple(Effect(m, self.p) for m in sorted(self.point_masks))
-
     def __len__(self) -> int:
         return (1 << self.dim) - 1
 
@@ -141,35 +119,15 @@ def span(generators: Sequence[Effect]) -> Subspace:
     """Subspace spanned by independent generators, kept as its basis in order."""
     if not generators:
         raise ValueError("span needs at least one generator")
-    p = _same_space(generators)
+    ps = {g.p for g in generators}
+    if len(ps) != 1:
+        raise ValueError("effects live in different factor counts")
+    p = ps.pop()
     pivots: dict[int, int] = {}
     for g in generators:
-        red = bitlin.reduce_vector(g.bits, pivots)
-        if not red:
+        if not bitlin.insert(pivots, g.bits):
             raise ValueError(f"generators not independent: {g.word} is spanned by the others")
-        pivots[red.bit_length() - 1] = red
     return Subspace(p=p, basis=tuple(g.bits for g in generators))
-
-
-def subspace_from_points(points: Sequence[Effect]) -> Subspace:
-    """Build a Subspace from its full point set, verifying closure.
-
-    The basis is the reduced echelon basis, which is also the greedy basis of
-    the points in ascending order.
-    """
-    if not points:
-        raise ValueError("empty point set")
-    p = _same_space(points)
-    masks = {e.bits for e in points}
-    if len(masks) != len(points):
-        raise ValueError("duplicate points")
-    basis = bitlin.echelon(masks)
-    # The points span a rank-t subspace, so they fill it iff there are 2^t - 1.
-    if len(masks) != (1 << len(basis)) - 1:
-        raise ValueError(
-            f"point set of size {len(masks)} does not fill a rank-{len(basis)} subspace"
-        )
-    return Subspace(p=p, basis=tuple(basis))
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace | None:

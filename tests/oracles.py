@@ -137,6 +137,25 @@ def greedy_basis(vectors) -> list[int]:
     return basis
 
 
+def subspace_from_points(points: Sequence[Effect]) -> Subspace:
+    """Subspace from its full point set, on the greedy basis of the sorted points.
+
+    Refuses an empty or repeated point set and one that is not closed: the
+    points span a rank-t subspace, so they fill it iff there are 2^t - 1.
+    """
+    if not points:
+        raise ValueError("empty point set")
+    masks = {e.bits for e in points}
+    if len(masks) != len(points):
+        raise ValueError("duplicate points")
+    basis = greedy_basis(sorted(masks))
+    if len(masks) != (1 << len(basis)) - 1:
+        raise ValueError(
+            f"point set of size {len(masks)} does not fill a rank-{len(basis)} subspace"
+        )
+    return Subspace(p=points[0].p, basis=tuple(basis))
+
+
 def complete_basis_scan(vectors, n: int) -> list[int]:
     """Independent vectors completed by scanning 1, 2, 3, ...: each integer
     outside the span of those kept before it is kept."""

@@ -33,7 +33,7 @@ from rdcss.fractional import (
     choose_generators,
     stage_factor_sets,
 )
-from rdcss.geometry import Effect, intersect, parse_effect, span
+from rdcss.geometry import Effect, intersect, mask_word, parse_effect, span
 from rdcss.randomization import (
     Design,
     VarianceSpec,
@@ -75,7 +75,7 @@ def criterion(number: int, limit_seconds: float, description: str):
 def test_criterion_1_reference_spread_grid():
     with criterion(1, 1.0, "cyclic (6,3) spread matches the reference grid"):
         spread = cyclic_spread(6, 3)
-        got = [{e.word for e in mem.points} for mem in spread.members]
+        got = [{mask_word(m) for m in mem.point_masks} for mem in spread.members]
         want = [set(col) for col in zip(*TABLE_P6_T3)]
         assert got == want
         assert got[0] == {"F", "BC", "CDEF", "CDE", "BDE", "BCF", "BDEF"}

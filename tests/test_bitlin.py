@@ -110,7 +110,7 @@ def test_matmul_associates_with_apply(data):
 
 @given(st.data())
 def test_invert_round_trip(data):
-    n = data.draw(st.integers(min_value=1, max_value=8))
+    n = data.draw(st.integers(min_value=0, max_value=8))
     bounded = st.integers(min_value=0, max_value=(1 << n) - 1)
     rows = data.draw(st.lists(bounded, min_size=n, max_size=n))
     inv = bitlin.invert(rows, n)
@@ -139,8 +139,14 @@ def test_solve_residual_or_proven_inconsistent(data):
             assert (r & x).bit_count() % 2 == b
 
 
-def test_reduce_vector_against_pivots():
+def test_insert_reduces_against_pivots():
     pivots = {1: 0b10, 3: 0b1100}
-    assert bitlin.reduce_vector(0b10, pivots) == 0
-    assert bitlin.reduce_vector(0b1110, pivots) == 0
-    assert bitlin.reduce_vector(0b0001, pivots) == 1
+    # Vectors in the span reduce to zero and leave the rows as they were.
+    assert not bitlin.insert(pivots, 0b10)
+    assert not bitlin.insert(pivots, 0b1110)
+    assert not bitlin.insert(pivots, 0)
+    assert pivots == {1: 0b10, 3: 0b1100}
+    # The remainder of 0b1111 is 0b0001, stored under its leading bit.
+    assert bitlin.insert(pivots, 0b1111)
+    assert pivots == {0: 0b0001, 1: 0b10, 3: 0b1100}
+    assert not bitlin.insert(pivots, 0b1111)

@@ -3,15 +3,20 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rdcss
 from rdcss.cli import build_parser, load_design, main, verification_payload
-from rdcss.geometry import parse_effect, span
+from rdcss.geometry import mask_word, parse_effect, span
 
 from test_spreads import TABLE_P6_T3
 
@@ -190,6 +195,35 @@ def test_spread_guidance_when_no_full_spread(capsys):
     assert "--partial" in err
 
 
+def test_spread_refuses_more_factors_than_letters(capsys):
+    # Effect words stop at X, the 24th letter: p = 25 is refused before any build.
+    assert main(["spread", "--p", "25", "--t", "2", "--partial"]) == 2
+    assert "limited to p <= 24" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["exists", "--p", "4", "--stages", "1,1"], ["spread", "--p", "6", "--t", "3"]],
+    ids=["exists", "spread"],
+)
+def test_closed_stdout_exits_quietly(argv):
+    # The pipe's read end is closed before the command starts, so its first
+    # write to stdout fails, as it does under `| head` once head has exited.
+    src = str(Path(rdcss.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rdcss.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr
+
+
 def test_zero_spread_dimension_is_invalid_input(tmp_path, capsys):
     assert main(["spread", "--p", "6", "--t", "0"]) == 2
     assert "1 <= t < p, got t=0" in capsys.readouterr().err
@@ -266,7 +300,7 @@ def test_construct_writes_design_files(example5_dir):
     s1 = payload["stages"][0]
     assert s1["required"] == ["ABC", "BDE", "CEF"] and s1["exact"]
     want = span(tuple(parse_effect(w, 6) for w in ("ABC", "BDE", "CEF")))
-    assert set(s1["points"]) == {e.word for e in want.points}
+    assert set(s1["points"]) == {mask_word(m) for m in want.point_masks}
     assert payload["stages"][1]["required"] == ["A", "B"]
     assert not payload["stages"][1]["exact"]
     rows = payload["collineation"]
@@ -624,7 +658,7 @@ def test_transform_reports_relabeling(capsys):
     assert sizes == [7] * 16 + [15]
     first = data["members"][data["stage_members"][0] - 1]
     want = span(tuple(parse_effect(w, 7) for w in "ABCD"))
-    assert set(first) == {e.word for e in want.points}
+    assert set(first) == {mask_word(m) for m in want.point_masks}
     second = data["members"][data["stage_members"][1] - 1]
     assert {"E", "F"} <= set(second)
     third = data["members"][data["stage_members"][2] - 1]

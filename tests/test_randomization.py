@@ -112,8 +112,8 @@ def test_batch_indices_constant_on_defining_contrasts(two_stage_design):
     for stage, sub in enumerate(two_stage_design.stages):
         idx = batch_indices(two_stage_design, stage)
         runs = np.arange(two_stage_design.n)
-        for effect in sub.points:
-            parity = np.bitwise_count(runs & effect.bits) & 1
+        for mask in sub.point_masks:
+            parity = np.bitwise_count(runs & mask) & 1
             for b in range(1 << sub.dim):
                 assert len(set(parity[idx == b].tolist())) == 1
 
