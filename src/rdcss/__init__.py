@@ -7,11 +7,22 @@ requirements, closed-form existence results, the induced variance structure
 of effect estimators, and regular fractional factorials layered on top.
 
 The package re-exports the public names (each module's __all__) of every
-module except the low-level bitlin and the cli.
+module except the low-level bitlin and the cli: construction's `build`,
+`Built`, `Infeasible` and `BudgetExhausted` among them.
 """
 
-from . import collineation, existence, fractional, geometry, gf2, randomization, spreads
+from . import (
+    collineation,
+    construction,
+    existence,
+    fractional,
+    geometry,
+    gf2,
+    randomization,
+    spreads,
+)
 from .collineation import *  # noqa: F401,F403
+from .construction import *  # noqa: F401,F403
 from .existence import *  # noqa: F401,F403
 from .fractional import *  # noqa: F401,F403
 from .geometry import *  # noqa: F401,F403
@@ -23,6 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     name
-    for module in (geometry, gf2, spreads, collineation, existence, randomization, fractional)
+    for module in (
+        geometry, gf2, spreads, collineation, existence, randomization, fractional, construction
+    )
     for name in module.__all__
 ] + ["__version__"]

@@ -1,17 +1,16 @@
 """Command-line interface for staged-design construction and analysis.
 
 Commands: exists, spread, construct, transform, simulate, fraction, rank.
-Exit codes are a stable contract: 0 success, 2 invalid input, 3 proven
-infeasible, 4 search budget exhausted.  All commands are deterministic given
-their full flag set; --seed falls back to the RDCSS_SEED environment
-variable, then to 0.
+Exit codes are a stable contract: 0 success, 2 invalid input (a request too
+large for memory included), 3 proven infeasible, 4 search budget exhausted.
+All commands are deterministic given their full flag set; --seed falls back
+to the RDCSS_SEED environment variable, then to 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import json
 import os
@@ -22,19 +21,10 @@ from typing import Iterable
 
 import numpy as np
 
-from . import bitlin
 from . import collineation as coll
 from . import existence, fractional, spreads
-from .geometry import (
-    LETTERS,
-    MAX_FACTORS,
-    Effect,
-    Subspace,
-    intersect,
-    mask_word,
-    parse_effect,
-    span,
-)
+from .construction import BudgetExhausted, Infeasible, build, choose_spread, required_rank, search
+from .geometry import LETTERS, MAX_FACTORS, Subspace, intersect, mask_word, parse_effect, span
 from .randomization import (
     Design,
     VarianceSpec,
@@ -51,14 +41,6 @@ EXIT_INFEASIBLE = 3
 EXIT_BUDGET = 4
 
 MAX_CONSTRUCT_P = 12
-
-
-class Infeasible(Exception):
-    """Raised when a request is proven unsatisfiable (exit code 3)."""
-
-
-class BudgetExhausted(Exception):
-    """Raised when the search budget ran out before a verdict (exit code 4)."""
 
 
 def _resolve_seed(value: int | None) -> int:
@@ -103,7 +85,12 @@ def _parse_stage(text: str, p: int) -> coll.StageRequirement:
             if opt == "exact":
                 exact = True
             elif opt.startswith("min="):
-                min_dim = int(opt[4:])
+                try:
+                    min_dim = int(opt[4:])
+                except ValueError:
+                    raise ValueError(
+                        f"stage option {opt!r} in {text!r} needs an integer dimension"
+                    ) from None
             else:
                 raise ValueError(f"unknown stage option {opt!r} in {text!r}")
     return coll.StageRequirement(
@@ -111,76 +98,6 @@ def _parse_stage(text: str, p: int) -> coll.StageRequirement:
         min_dim=min_dim,
         exact=exact,
     )
-
-
-def _required_rank(stage: coll.StageRequirement) -> int:
-    rk = bitlin.rank([e.bits for e in stage.required_effects])
-    return max(rk, stage.min_dim or 0)
-
-
-def _refuse_overlap(p: int, dims: list[int]) -> None:
-    oracle = existence.feasibility_report(p, tuple(dims))
-    if oracle.verdict == "exists-with-overlap":
-        raise Infeasible(
-            "existence rules prove the stages cannot be disjoint: "
-            + "; ".join(oracle.rules)
-        )
-
-
-def _build_spread(
-    p: int,
-    t: int | None,
-    dims: list[int],
-    poly: int | None,
-    partial: bool = True,
-) -> spreads.Spread:
-    """Pick the spread family a request calls for.
-
-    Explicit t wins; otherwise uniform stage dimensions choose a full or
-    partial spread and one oversized stage routes to the mixed construction.
-    partial=False refuses a t that does not divide p.  A polynomial is
-    refused unless the spread is the full cyclic one it generates.
-    """
-    mixed = t is None and 2 * max(dims) > p and len(set(dims)) > 1
-    if t is None:
-        t = max(dims)
-    if not mixed:
-        if not 1 <= t < p:
-            raise ValueError(f"spread dimension must satisfy 1 <= t < p, got t={t}, p={p}")
-        if p % t == 0:
-            return spreads.cyclic_spread(p, t, poly)
-        if not partial:
-            raise ValueError(
-                f"no full ({t - 1})-spread of PG({p - 1}, 2): {t} does not divide "
-                f"{p}; pass --partial for the largest guaranteed partial spread"
-            )
-    if poly is not None:
-        raise ValueError("a custom polynomial only applies to a full cyclic spread")
-    return spreads.mixed_spread(p, t) if mixed else spreads.partial_spread(p, t)
-
-
-def _search(
-    spread: spreads.Spread,
-    requirements: list[coll.StageRequirement],
-    budget: int | None,
-) -> tuple[coll.SearchResult, spreads.Spread]:
-    """Search, then return the result and the spread its collineation relabels.
-
-    An infeasible or budget-exhausted search raises the matching exit.
-    """
-    result = coll.find_collineation(spread, requirements, max_candidates=budget)
-    if result.status == "infeasible":
-        raise Infeasible(
-            f"no collineation satisfies the stage requirements on this spread "
-            f"({result.candidates_tried} candidate assignments checked); "
-            "revisit the spread dimensions or relax exact stages"
-        )
-    if result.status == "budget-exhausted":
-        raise BudgetExhausted(
-            f"search budget of {result.candidates_tried} candidate assignments "
-            "exhausted without a verdict; raise --budget"
-        )
-    return result, coll.apply_to_spread(result.collineation, spread)
 
 
 def _matrix_rows(m: coll.Collineation) -> list[list[int]]:
@@ -247,152 +164,12 @@ def cmd_spread(args: argparse.Namespace) -> int:
             f"spread is limited to p <= {MAX_FACTORS}, the factor letters A..X, got p={args.p}"
         )
     poly = _parse_poly(args.poly, args.p)
-    spread = _build_spread(args.p, args.t, [args.t], poly, partial=args.partial)
+    spread = choose_spread(args.p, args.t, [args.t], poly, partial=args.partial)
     print(_spread_grid(spread))
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- construct
-
-
-def _spare_member(
-    spread: spreads.Spread, used: set[int], needed_points: int, min_dim: int
-) -> int:
-    for j, mem in enumerate(spread.members):
-        if j in used or mem.dim < min_dim:
-            continue
-        spare = sum(1 for b in mem.point_masks if b.bit_count() >= 2)
-        if spare >= needed_points:
-            return j
-    raise Infeasible(
-        "no spread member left with enough interaction points to alias the "
-        "added factors of an added-only stage"
-    )
-
-
-def _construct(args, seed: int):
-    """Build a regular 2^(r-u) fraction on a 2^u base design.
-
-    A full 2^p design is the case r = u = p: every stage word is then a basic
-    effect, every stage is searched, and no fraction is layered on top.
-    """
-    if args.budget is not None and args.budget < 0:
-        raise ValueError(f"search budget must be non-negative, got {args.budget}")
-    if args.p is not None and args.factors is not None:
-        raise ValueError(
-            "--p and --factors cannot be combined: --p asks for a full design, "
-            "--factors for a fraction"
-        )
-    if args.factors is None:
-        if args.p is None:
-            raise ValueError("construct needs --p (full design) or --factors (fraction)")
-        if args.basic is not None:
-            raise ValueError(
-                "--p and --basic cannot be combined: --basic gives the base of a fraction"
-            )
-        if args.p > MAX_CONSTRUCT_P:
-            raise ValueError(f"run-matrix export is limited to p <= {MAX_CONSTRUCT_P}")
-        r = u = args.p
-    else:
-        r, u = args.factors, args.basic
-        if u is None:
-            raise ValueError("fraction construction needs --basic with --factors")
-        if not 2 <= u < r <= len(LETTERS):
-            raise ValueError(
-                f"fraction construction needs 2 <= basic < factors <= {len(LETTERS)}, "
-                f"got basic={u}, factors={r}"
-            )
-        if u > MAX_CONSTRUCT_P:
-            raise ValueError(
-                f"fraction construction is limited to basic <= {MAX_CONSTRUCT_P}, got {u}"
-            )
-        if args.t is None:
-            raise ValueError("fraction construction needs --t for the base spread")
-    stages = [_parse_stage(text, r) for text in args.stage]
-    if not stages:
-        raise ValueError("construct needs at least one --stage")
-
-    # Stage words are basic effects (searched on the base spread) or single
-    # added letters (aliased into their stage by the generators).
-    letter_stage: dict[int, int] = {}
-    searched: dict[int, coll.StageRequirement] = {}
-    for i, stage in enumerate(stages):
-        basic: list[Effect] = []
-        for e in stage.required_effects:
-            if e.bits < (1 << u):
-                basic.append(Effect(e.bits, u))
-            elif e.order == 1:
-                ell = e.bits.bit_length() - 1
-                if letter_stage.get(ell) == i:
-                    raise ValueError(f"added factor {e.word} is repeated within stage {i + 1}")
-                if ell in letter_stage:
-                    raise ValueError(f"added factor {e.word} appears in two stages")
-                letter_stage[ell] = i
-            else:
-                raise ValueError(
-                    f"stage word {e.word} mixes added factors into an interaction; "
-                    "stage words are basic-factor effects or single added letters"
-                )
-        if basic:
-            searched[i] = dataclasses.replace(stage, required_effects=tuple(basic))
-
-    dims = [args.t if args.t else _required_rank(s) for s in stages]
-    _refuse_overlap(u, dims)
-    spread = _build_spread(u, args.t, dims, _parse_poly(args.poly, u))
-    matrix = coll.Collineation.identity(u)
-    member: dict[int, int] = {}
-    if searched:
-        result, spread = _search(spread, list(searched.values()), args.budget)
-        matrix = result.collineation
-        member = dict(zip(searched, result.stage_members))
-    used = set(member.values())
-    for i, stage in enumerate(stages):
-        if i not in member:  # added letters only: one interaction point each
-            member[i] = _spare_member(
-                spread, used, len(stage.required_effects), stage.min_dim or args.t
-            )
-            used.add(member[i])
-
-    design = Design(p=u, stages=tuple(spread.members[member[i]] for i in range(len(stages))))
-    fraction = spec = None
-    if r > u:
-        bindings = tuple(letter_stage.get(ell) for ell in range(u, r))
-        generators = fractional.choose_generators(design, r, bindings)
-        spec = fractional.FractionSpec(factors=r, basic=u, generators=generators)
-        fraction = fractional.build_fraction(design, spec)
-
-    payload = {
-        "schema": 1,
-        "kind": "full" if fraction is None else "fraction",
-        "p": r,
-        "runs": design.n,
-        "factors": LETTERS[:r],
-        **({} if fraction is None else {"base_p": u}),
-        "seed": seed,
-        "stages": [
-            {
-                "name": f"S_{i + 1}",
-                "required": [e.word for e in stage.required_effects],
-                "exact": stage.exact,
-                "member_index": member[i],
-                "basis": _words(sub.basis),
-                "points": _point_words(sub),
-                **(
-                    {}
-                    if fraction is None
-                    else {
-                        "lifted_basis": _words(fraction.stages[i].basis),
-                        "lifted_points": _point_words(fraction.stages[i]),
-                    }
-                ),
-            }
-            for i, (stage, sub) in enumerate(zip(stages, design.stages))
-        ],
-        "collineation": _matrix_rows(matrix),
-        "spread": {"kind": spread.kind, "members": _member_words(spread)},
-        "fraction": None if spec is None else fractional.fraction_spec_to_dict(spec),
-    }
-    return design, fraction, payload
 
 
 def load_design(path: str | Path):
@@ -476,7 +253,69 @@ def _write_runs_csv(path: Path, matrix: np.ndarray, letters: str, coding: str) -
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    design, fraction, payload = _construct(args, _resolve_seed(args.seed))
+    seed = _resolve_seed(args.seed)
+    if args.p is not None and args.factors is not None:
+        raise ValueError(
+            "--p and --factors cannot be combined: --p asks for a full design, "
+            "--factors for a fraction"
+        )
+    if args.factors is None:
+        if args.p is None:
+            raise ValueError("construct needs --p (full design) or --factors (fraction)")
+        if args.basic is not None:
+            raise ValueError(
+                "--p and --basic cannot be combined: --basic gives the base of a fraction"
+            )
+        if args.p > MAX_CONSTRUCT_P:
+            raise ValueError(f"run-matrix export is limited to p <= {MAX_CONSTRUCT_P}")
+        r = u = args.p
+    else:
+        r, u = args.factors, args.basic
+        if u is None:
+            raise ValueError("fraction construction needs --basic with --factors")
+        if not 2 <= u < r <= len(LETTERS):
+            raise ValueError(
+                f"fraction construction needs 2 <= basic < factors <= {len(LETTERS)}, "
+                f"got basic={u}, factors={r}"
+            )
+        if u > MAX_CONSTRUCT_P:
+            raise ValueError(
+                f"fraction construction is limited to basic <= {MAX_CONSTRUCT_P}, got {u}"
+            )
+        if args.t is None:
+            raise ValueError("fraction construction needs --t for the base spread")
+    stages = [_parse_stage(text, r) for text in args.stage]
+    if not stages:
+        raise ValueError("construct needs at least one --stage")
+    built = build(r, u, stages, t=args.t, poly=_parse_poly(args.poly, u), budget=args.budget)
+    design, fraction = built.design, built.fraction
+    payload = {
+        "schema": 1,
+        "kind": "full" if fraction is None else "fraction",
+        "p": r,
+        "runs": design.n,
+        "factors": LETTERS[:r],
+        **({} if fraction is None else {"base_p": u}),
+        "seed": seed,
+        "stages": [
+            {
+                "name": f"S_{i + 1}",
+                "required": [e.word for e in stage.required_effects],
+                "exact": stage.exact,
+                "member_index": built.members[i],
+                "basis": _words(sub.basis),
+                "points": _point_words(sub),
+                **({} if fraction is None else {
+                    "lifted_basis": _words(fraction.stages[i].basis),
+                    "lifted_points": _point_words(fraction.stages[i]),
+                }),
+            }
+            for i, (stage, sub) in enumerate(zip(stages, design.stages))
+        ],
+        "collineation": _matrix_rows(built.collineation),
+        "spread": {"kind": built.spread.kind, "members": _member_words(built.spread)},
+        "fraction": None if fraction is None else fractional.fraction_spec_to_dict(fraction.spec),
+    }
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "design.json").write_text(json.dumps(payload, indent=2) + "\n")
@@ -503,9 +342,9 @@ def cmd_transform(args: argparse.Namespace) -> int:
     stages_cli = [_parse_stage(text, p) for text in args.stage]
     if not stages_cli:
         raise ValueError("transform needs at least one --stage")
-    dims = [args.t if args.t else _required_rank(s) for s in stages_cli]
-    spread = _build_spread(p, args.t, dims, _parse_poly(args.poly, p))
-    result, transformed = _search(spread, stages_cli, args.budget)
+    dims = [args.t if args.t else required_rank(s) for s in stages_cli]
+    spread = choose_spread(p, args.t, dims, _parse_poly(args.poly, p))
+    result, transformed = search(spread, stages_cli, args.budget)
     print(
         json.dumps(
             {
@@ -534,13 +373,34 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     spec = VarianceSpec(sigma2=args.sigma2, stage_variances=tuple(args.stage_var))
     beta = np.zeros(design.n)
+    given: set[int] = set()
     for text in args.beta:
         word, _, value = text.partition("=")
         if not value:
             raise ValueError(f"--beta expects WORD=VALUE, got {text!r}")
-        beta[parse_effect(word.strip(), design.p).bits] = float(value)
-    estimates = simulate(design, spec, beta=beta, reps=args.reps, seed=seed)
+        bits = parse_effect(word.strip(), design.p).bits
+        if bits in given:
+            raise ValueError(f"--beta gives effect {mask_word(bits)} twice")
+        given.add(bits)
+        beta[bits] = float(value)
+        if not np.isfinite(beta[bits]):
+            raise ValueError(f"--beta {text!r}: the value for {mask_word(bits)} must be finite")
     report = variance_groups(design, spec)
+    # Huge finite inputs can overflow; such a run is refused below, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        estimates = simulate(design, spec, beta=beta, reps=args.reps, seed=seed)
+        empirical = [
+            float(np.mean(np.var(estimates[:, group.masks], axis=0, ddof=1)))
+            if args.reps > 1
+            else None
+            for group in report.groups
+        ]
+    variances = [g.variance for g in report.groups] + [v for v in empirical if v is not None]
+    if not (np.isfinite(estimates).all() and np.isfinite(variances).all()):
+        raise ValueError(
+            "the simulated values overflow the float range; "
+            "give smaller --sigma2, --stage-var or --beta values"
+        )
 
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -566,29 +426,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             cells[2::4] = table.abs_estimates.tolist()
             cells[3::4] = table.quantiles.tolist()
             fh.write("%s,%s,%.10g,%.10g\r\n" * g % tuple(cells))
-    groups_json = []
-    for group in report.groups:
-        empirical = (
-            float(np.mean(np.var(estimates[:, group.masks], axis=0, ddof=1)))
-            if args.reps > 1
-            else None
-        )
-        groups_json.append(
-            {
-                "group": group.label,
-                "stages": [i + 1 for i in group.stage_indices],
-                "size": len(group.masks),
-                "theoretical_variance": group.variance,
-                "empirical_variance": empirical,
-                "flags": list(group.flags),
-            }
-        )
+    groups_json = [
+        {
+            "group": group.label,
+            "stages": [i + 1 for i in group.stage_indices],
+            "size": len(group.masks),
+            "theoretical_variance": group.variance,
+            "empirical_variance": emp,
+            "flags": list(group.flags),
+        }
+        for group, emp in zip(report.groups, empirical)
+    ]
     summary = {
         "design": str(args.design),
         "reps": args.reps,
         "seed": seed,
-        "sigma2": args.sigma2,
-        "stage_variances": list(args.stage_var),
+        "sigma2": spec.sigma2,
+        "stage_variances": list(spec.stage_variances),
         "groups": groups_json,
         "notes": list(report.notes),
     }
@@ -784,6 +638,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BUDGET
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except MemoryError:
+        print("error: the request does not fit in memory", file=sys.stderr)
         return EXIT_INVALID
 
 

@@ -13,6 +13,7 @@ halfnormal_emit returns each group's plot coordinates as columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from statistics import NormalDist
@@ -130,8 +131,15 @@ class VarianceSpec:
     stage_variances: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0 or any(v < 0 for v in self.stage_variances):
+        values = (self.sigma2, *self.stage_variances)
+        for v in values:
+            if not math.isfinite(v):
+                raise ValueError(f"variances must be finite, got {v}")
+        if any(v < 0 for v in values):
             raise ValueError("variances must be nonnegative")
+        # -0.0 + 0 is 0.0 (numpy refuses the scale -0.0); other values keep their type.
+        object.__setattr__(self, "sigma2", self.sigma2 + 0)
+        object.__setattr__(self, "stage_variances", tuple(v + 0 for v in self.stage_variances))
 
 
 def _check_spec(design: Design, spec: VarianceSpec) -> None:

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -605,8 +606,12 @@ def test_construct_fraction_argument_errors(tmp_path, capsys):
             ["--factors", "8", "--basic", "6", "--t", "2", "--stage", "G,G"],
             "added factor G is repeated within stage 1",
         ),
+        (
+            ["--p", "6", "--stage", "A,B", "--stage", "C", "--stage", "D:min=x"],
+            "stage option 'min=x' in 'D:min=x' needs an integer dimension",
+        ),
     ],
-    ids=["p-with-basic", "p-with-factors", "letter-repeated-in-stage"],
+    ids=["p-with-basic", "p-with-factors", "letter-repeated-in-stage", "min-not-integer"],
 )
 def test_construct_refuses_conflicting_words_and_flags(argv, message, tmp_path, capsys):
     assert main(["construct", *argv, "--out-dir", str(tmp_path)]) == 2
@@ -877,6 +882,70 @@ def test_simulate_bad_beta(example5_dir, tmp_path, capsys):
     assert "WORD=VALUE" in capsys.readouterr().err
 
 
+_THREE_STAGE_VARS = ["--stage-var", "1", "--stage-var", "1", "--stage-var", "1"]
+
+
+@pytest.mark.parametrize(
+    "numbers, message",
+    [
+        (["--stage-var", "nan", "--stage-var", "1", "--stage-var", "1"], "finite, got nan"),
+        (["--stage-var", "1", "--stage-var", "inf", "--stage-var", "1"], "finite, got inf"),
+        (["--sigma2", "nan", *_THREE_STAGE_VARS], "finite, got nan"),
+        ([*_THREE_STAGE_VARS, "--beta", "A=nan"], "the value for A must be finite"),
+        ([*_THREE_STAGE_VARS, "--beta", "A=1", "--beta", "A=2"], "gives effect A twice"),
+        (
+            [*_THREE_STAGE_VARS, "--beta", "A=1e308", "--beta", "B=1e308"],
+            "overflow the float range",
+        ),
+    ],
+    ids=["stage-var-nan", "stage-var-inf", "sigma2-nan", "beta-nan", "beta-repeated",
+         "beta-overflow"],
+)
+def test_simulate_refuses_numbers_without_a_finite_result(
+    numbers, message, example5_dir, tmp_path, capsys
+):
+    argv = ["simulate", "--design", str(example5_dir / "design.json"), "--reps", "4"]
+    assert main([*argv, *numbers, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_simulate_reads_negative_zero_variance_as_zero(example5_dir, tmp_path):
+    argv = ["simulate", "--design", str(example5_dir / "design.json"), "--reps", "4"]
+    for name in ("-0", "0"):
+        variances = ["--stage-var", name, "--stage-var", "1", "--stage-var", "1"]
+        assert main([*argv, *variances, "--out-dir", str(tmp_path / name)]) == 0
+    for name in ("estimates.csv", "halfnormal.csv", "summary.json"):
+        assert (tmp_path / "-0" / name).read_bytes() == (tmp_path / "0" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exists", "--p", "100000000000", "--t", "1"],
+        ["simulate", "--design", "@design", *_THREE_STAGE_VARS, "--reps", "100000000",
+         "--out-dir", "@out"],
+    ],
+    ids=["exists", "simulate"],
+)
+def test_request_too_large_for_memory_is_invalid_input(argv, example5_dir, tmp_path):
+    # Each request would need tens of GiB.  The child's address space is capped
+    # at 1 GiB, so the allocation fails at once instead of exhausting the machine.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    paths = {"@design": str(example5_dir / "design.json"), "@out": str(tmp_path)}
+    argv = [paths.get(a, a) for a in argv]
+    src = str(Path(rdcss.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rdcss.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: the request does not fit in memory\n"
+
+
 def test_simulate_malformed_design(tmp_path, capsys):
     bad = tmp_path / "design.json"
     bad.write_text("not json at all")
@@ -1069,6 +1138,19 @@ _specs = st.one_of(
 )
 
 
+# Numbers for simulate: finite ones, the non-finite spellings, -0 and junk.
+_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-3, max_value=9).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "-0.0", "1e308"]),
+    _junk,
+)
+_beta_terms = st.one_of(
+    st.tuples(st.sampled_from(["A", "CDE", "ABCDEF", "a", "G", ""]), _numbers).map("=".join),
+    _junk,
+)
+
+
 def _fuzz_flags(example5_dir, workdir):
     """Per command: each flag, the chance in tenths that it is given, and a
     strategy for its value (None for a switch)."""
@@ -1095,6 +1177,16 @@ def _fuzz_flags(example5_dir, workdir):
             "--out-dir": (5, st.just(str(workdir / "fraction_out"))),
             "--coding": (5, st.sampled_from(["01", "pm1", "x"])),
         },
+        "simulate": {
+            "--design": (9, st.sampled_from([design, missing])),
+            "--sigma2": (5, _numbers),
+            # A list repeats the flag once per item; the design has three stages.
+            "--stage-var": (9, st.lists(_numbers, min_size=2, max_size=4)),
+            "--beta": (5, st.lists(_beta_terms, min_size=1, max_size=3)),
+            "--reps": (5, st.integers(min_value=-1, max_value=8).map(str)),
+            "--seed": (3, _int_texts),
+            "--out-dir": (10, st.just(str(workdir / "simulate_out"))),
+        },
         "rank": {
             "--candidates": (9, st.sampled_from([str(workdir / "fuzz_candidates.json"), missing])),
             "--criterion": (5, st.sampled_from(["wlp-aberration", "clear-count", "x"])),
@@ -1116,13 +1208,22 @@ def test_random_argv_exits_cleanly(data, example5_dir, tmp_path_factory):
     argv = [command]
     for name, (tenths, value) in [*flags[command].items(), ("--bogus", (1, None))]:
         if data.draw(st.integers(min_value=0, max_value=9)) < tenths:
-            argv += [name] if value is None else [name, data.draw(value)]
+            drawn = [None] if value is None else data.draw(value)
+            for item in drawn if isinstance(drawn, list) else [drawn]:
+                argv += [name] if item is None else [name, item]
     with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         try:
             rc = main(argv)
         except SystemExit as exc:  # argparse refusing the argv
             rc = exc.code
     assert rc in (0, 2, 3, 4), argv
+    if command == "simulate" and rc == 0:
+        summary = workdir / "simulate_out" / "summary.json"
+        json.loads(summary.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"summary.json holds {name}, which strict JSON refuses")
 
 
 # ---------------------------------------------------------------- rank

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from rdcss.cli import _build_spread
+from rdcss.construction import choose_spread
 from rdcss.collineation import StageRequirement, find_collineation
 from rdcss.existence import (
     feasibility_report,
@@ -271,7 +271,7 @@ def test_existence_refusals_are_never_found_by_the_search():
             StageRequirement(tuple(Effect(1 << next(letters), p) for _ in range(r)))
             for r in ranks
         ]
-        result = find_collineation(_build_spread(p, t, dims, None), requirements)
+        result = find_collineation(choose_spread(p, t, dims, None), requirements)
         assert result.status != "found", (p, t, ranks)
 
 
